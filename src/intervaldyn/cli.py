@@ -9,7 +9,8 @@ Five subcommands over a map-definition JSON file:
   plot        cobweb SVG and orbit CSV from a single start
 
 Exit codes: 0 success (scientific negatives like an invalid certificate
-are data, not errors), 2 configuration problems, 3 computation failures.
+are data, not errors), 2 configuration problems (invalid map files
+included), 3 computation failures.
 """
 
 import argparse
@@ -45,7 +46,8 @@ def _load_map(path):
         raise _UsageError("cannot read map file %s: %s" % (path, e))
     try:
         return build_map(mapspec_from_dict(doc))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, IndexError,
+            IntervalDynError) as e:
         raise _UsageError("malformed map definition %s: %r" % (path, e))
 
 
@@ -155,16 +157,15 @@ def cmd_plot(args):
     lo, hi = m.ambient
     if not (lo <= args.x0 <= hi):
         raise _UsageError("--x0 %r outside the ambient interval" % args.x0)
-    svgplot.cobweb(m, args.x0, args.n, os.path.join(out, "cobweb.svg"))
-    rows = [(0, args.x0)]
-    x = args.x0
-    for k in range(1, args.n + 1):
+    orbit = [args.x0]
+    for _ in range(args.n):
         try:
-            x = m.eval(x)
+            orbit.append(m.eval(orbit[-1]))
         except IntervalDynError:
             break
-        rows.append((k, x))
-    _write_csv(os.path.join(out, "orbit.csv"), ("step", "x"), rows)
+    svgplot.cobweb(m, orbit, args.n, os.path.join(out, "cobweb.svg"))
+    _write_csv(os.path.join(out, "orbit.csv"), ("step", "x"),
+               enumerate(orbit))
     return 0
 
 
@@ -178,10 +179,6 @@ def _build_parser():
         sp.add_argument("--map", required=True, help="map definition JSON")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
-                        help="worker-pool bound (current pipelines run "
-                             "sequentially)")
 
     sp = sub.add_parser("analyze", help="validate map, list lateral values "
                         "and periodic points")

@@ -111,10 +111,6 @@ class DegenerateOrbitError(OrbitError):
     """An orbit terminated before producing the samples a statistic needed."""
 
 
-class PeriodSearchOverflowError(OrbitError):
-    """Cylinder refinement for periodic points exceeded the work cap."""
-
-
 # ---------------------------------------------------------------------------
 # induction layer
 

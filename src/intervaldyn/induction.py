@@ -93,7 +93,9 @@ class InducedMap:
         b = self.branch_at(x)
         if b is None:
             raise ConfigError("point %r lies in no discovered branch" % (x,))
-        return _iter_eval(self.map, x, b.time)
+        for _ in range(b.time):
+            x = self.map.eval(x)
+        return x
 
     def deriv_abs(self, x):
         b = self.branch_at(x)
@@ -152,19 +154,18 @@ class PartitionCell:
 # shared numerics
 
 
-def _iter_eval(m, x, t):
-    for _ in range(t):
-        x = m.eval(x)
-    return x
-
-
 def _safe_eval(m, x, t, span):
     """Composed eval with one inward-nudge retry if an intermediate iterate
     lands exactly on an exceptional point."""
+    y = x
     try:
-        return _iter_eval(m, x, t)
+        for _ in range(t):
+            y = m.eval(y)
     except IntervalDynError:
-        return _iter_eval(m, x + span * 1e-9, t)
+        y = x + span * 1e-9
+        for _ in range(t):
+            y = m.eval(y)
+    return y
 
 
 def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
@@ -544,22 +545,17 @@ def _branch_pull(ind, br, target):
     return _pull(ind.map, br.lo, br.hi, br.time, y_lo, y_hi, target)
 
 
-def _induced_step(ind, x):
-    """One application of the induced map: returns (new x, log |DF|) or None
-    if x falls outside every discovered branch or hits an exceptional
-    point."""
-    br = ind.branch_at(x)
-    if br is None:
-        return None
-    m = ind.map
+def _induced_step(m, x, time):
+    """One application of an induced branch with the given return time:
+    (f^time(x), log |Df^time(x)|), or None if the orbit hits an
+    exceptional point or a zero derivative on the way."""
     logd = 0.0
     try:
-        for _ in range(br.time):
-            d = m.deriv(x)
+        for _ in range(time):
+            x, d = m.step(x)
             if d == 0.0:
                 return None
             logd += math.log(abs(d))
-            x = m.eval(x)
     except IntervalDynError:
         return None
     return x, logd
@@ -585,7 +581,7 @@ def _flank_stats(ind, flank):
             if fsteps > _FLANK_CAP:
                 unreturned += 1
                 break
-            step = _induced_step(ind, x)
+            step = _induced_step(ind.map, x, br.time)
             if step is None:
                 aborted += 1
                 break
@@ -673,28 +669,25 @@ def expansion_analysis(ind, m, probes=25):
     u1, _ = _branch_pull(ind, p_br, hi_t)
     ip = (u0, u1) if u0 <= u1 else (u1, u0)
 
+    def f2_gap(x):
+        y = x
+        for _ in range(2):
+            br = ind.branch_at(y)
+            s = None if br is None else _induced_step(ind.map, y, br.time)
+            if s is None:
+                return None
+            y = s[0]
+        return y - x
+
     xs = []
     hs = []
     w_ip = ip[1] - ip[0]
     for k in range(_FIX_GRID):
         x = ip[0] + w_ip * (k + 0.5) / _FIX_GRID
-        s1 = _induced_step(ind, x)
-        if s1 is None:
-            continue
-        s2 = _induced_step(ind, s1[0])
-        if s2 is None:
-            continue
-        xs.append(x)
-        hs.append(s2[0] - x)
-
-    def f2_gap(x):
-        s1 = _induced_step(ind, x)
-        if s1 is None:
-            return None
-        s2 = _induced_step(ind, s1[0])
-        if s2 is None:
-            return None
-        return s2[0] - x
+        h = f2_gap(x)
+        if h is not None:
+            xs.append(x)
+            hs.append(h)
 
     roots = []
     for i in range(len(xs) - 1):
@@ -792,7 +785,6 @@ def refine_partition(ind, n):
                     continue
                 nxt.append((d_lo, d_hi, (i,) + itin))
         level = nxt
-    m = ind.map
     cells = []
     for (c_lo, c_hi, itin) in sorted(level):
         w = c_hi - c_lo
@@ -800,15 +792,14 @@ def refine_partition(ind, n):
         for q in (0.25, 0.5, 0.75):
             x = c_lo + w * q
             total = 0.0
-            try:
-                for step in range(n):
-                    br = ind.branches[itin[step]]
-                    log_abs, _ = m.deriv_product(x, br.time)
-                    total += log_abs
-                    x = _iter_eval(m, x, br.time)
-            except IntervalDynError:
-                continue
-            logs.append(total)
+            for k in range(n):
+                s = _induced_step(ind.map, x, ind.branches[itin[k]].time)
+                if s is None:
+                    break
+                x, log_abs = s
+                total += log_abs
+            else:
+                logs.append(total)
         distortion = math.exp(max(logs) - min(logs)) if len(logs) >= 2 else 1.0
         cells.append(PartitionCell(c_lo, c_hi, itin, distortion))
     return cells

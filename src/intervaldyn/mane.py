@@ -104,18 +104,18 @@ def growth_test(m, x, avoid, n_max):
     maxlog = 0.0           # n = 0 term: |Df^0| = 1
     for k in range(n_max):
         try:
-            lg, _ = m.deriv_product(x, 1)
-            nxt = m.eval(x)
+            x, d = m.step(x)
         except IntervalDynError:
-            # exact hit of an undefined point: the singular core of the
-            # avoided region
+            d = 0.0
+        if d == 0.0:
+            # exact hit of an undefined point (or a critical point): the
+            # singular core of the avoided region
             return GrowthRecord("CAPTURED", _cap_exp(maxlog), k,
                                 captured_at=k)
-        logsum += lg
+        logsum += math.log(abs(d))
         maxlog = max(maxlog, logsum)
         if maxlog > _GROWTH_LOG:
             return GrowthRecord("GROWTH", _cap_exp(maxlog), k + 1)
-        x = nxt
         if _inside(x, avoid):
             return GrowthRecord("CAPTURED", _cap_exp(maxlog), k + 1,
                                 captured_at=k + 1)
@@ -150,13 +150,14 @@ def harvest_segments(m, U, samples, n_max, seed):
                     break
                 continue
             try:
-                lg, _ = m.deriv_product(x, 1)
-                nxt = m.eval(x)
+                nxt, d = m.step(x)
             except IntervalDynError:
+                break
+            if d == 0.0:
                 break
             if run_len == 0:
                 run_start = x
-            run_log += lg
+            run_log += math.log(abs(d))
             run_len += 1
             if run_len == n_max:
                 close()

@@ -10,6 +10,12 @@ Exact binary64 equality decides membership in the exceptional set: the
 orbit of a typical point never hits it, while an exact hit is a meaningful
 event that orbit code reports instead of fudging.
 
+Stepping has one path.  Each map compiles its branch lookup once into a
+straight-line comparison ladder over the cuts, with the branch formulas
+inlined: `PiecewiseMap.eval` returns f(x) and `PiecewiseMap.step` returns
+(f(x), Df(x)).  Every orbit loop of the package runs on these two and
+learns of an exceptional hit from the `ExceptionalPointError` they raise.
+
 `extend_map` widens the ambient interval by one unit on each side with C1
 cubic collars that map the new outer corners into themselves (or each other
 for decreasing boundaries) and create no attracting fixed point inside the
@@ -109,10 +115,48 @@ def _midgrid(a, b, n):
     return [a + (k + 0.5) * w / n for k in range(n)]
 
 
+def _compile_ladders(branches, ambient, exceptional):
+    """Compile the branch lookup and the branch formulas together into
+    `f(x)` and `step(x) = (f(x), Df(x))`: one comparison per cut, where an
+    exceptional cut is open on both sides, a collar knot belongs to the arm
+    on its right and the ambient ends are closed.  Every other x (NaN too)
+    falls through to one raise.  The formulas are the `expr` codegen source
+    of the branch closures, so values agree with them bit for bit."""
+    lo, hi = ambient
+    exc = frozenset(exceptional)
+
+    def miss(x):
+        return ExceptionalPointError(x) if x in exc else OutOfRangeError(x)
+
+    src = []
+    # Df before f: where both formulas raise, step raises as `deriv` does
+    for name, body in (("f", "return {f}"),
+                       ("step", "d = {df}; return {f}, d")):
+        src.append("def %s(x):" % name)
+        for i, b in enumerate(branches):
+            if i + 1 < len(branches):
+                upper = "x < %r" % (branches[i + 1].lo,)
+            else:
+                upper = "x <= %r" % (hi,)
+            if i == 0:
+                lower = "x >= %r" % (lo,)
+            else:
+                lower = "x > %r" % (b.lo,) if b.lo in exc else "True"
+            src += ["    %s %s:" % ("elif" if i else "if", upper),
+                    "        if %s:" % lower,
+                    "            " + body.format(f=ex._codegen(b.ast),
+                                                 df=ex._codegen(b.d_ast))]
+        src.append("    raise _miss(x)")
+    ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss}
+    exec("\n".join(src), ns)
+    return ns["f"], ns["step"]
+
+
 class PiecewiseMap:
-    """Compiled piecewise map.  `exceptional` is the set of undefined points;
-    branch seams outside it (collar knots of an extension) are smooth and
-    evaluate through the right-hand branch."""
+    """Compiled piecewise map.  `exceptional` is the set of undefined points,
+    all of them branch cuts; branch seams outside it (collar knots of an
+    extension) are smooth and evaluate through the right-hand branch.
+    `eval` and `step` are the stepping path (see the module docstring)."""
 
     def __init__(self, branches, ambient, exceptional, lateral_values,
                  orders):
@@ -123,6 +167,8 @@ class PiecewiseMap:
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
         self._nonlin = None
+        self._eval, self._step = _compile_ladders(
+            self.branches, ambient, self.exceptional)
 
     # -- lookup ------------------------------------------------------------
 
@@ -130,38 +176,27 @@ class PiecewiseMap:
         lo, hi = self.ambient
         if not (lo <= x <= hi):
             raise OutOfRangeError(x)
-        i = bisect_left(self.exceptional, x)
-        if i < len(self.exceptional) and self.exceptional[i] == x:
+        if x in self.exceptional:
             raise ExceptionalPointError(x)
-        idx = bisect_right(self._cuts, x) - 1
-        if idx < 0:
-            idx = 0
-        elif idx >= len(self.branches):
-            idx = len(self.branches) - 1
-        return self.branches[idx]
+        # the first cut is the ambient lo, so the index is never negative
+        return self.branches[bisect_right(self._cuts, x) - 1]
 
     def _lateral_branch(self, p):
         lo, hi = self.ambient
-        if p.side == "left":
-            if not (lo < p.point <= hi):
-                raise OutOfRangeError(p.point)
-            idx = bisect_left(self._cuts, p.point) - 1
-            if idx < 0:
-                idx = 0
-        else:
-            if not (lo <= p.point < hi):
-                raise OutOfRangeError(p.point)
-            idx = bisect_right(self._cuts, p.point) - 1
-            if idx < 0:
-                idx = 0
-            elif idx >= len(self.branches):
-                idx = len(self.branches) - 1
-        return self.branches[idx]
+        left = p.side == "left"
+        if not (lo < p.point <= hi if left else lo <= p.point < hi):
+            raise OutOfRangeError(p.point)
+        find = bisect_left if left else bisect_right
+        return self.branches[find(self._cuts, p.point) - 1]
 
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x):
-        return self.branch_at(x).f(x)
+        return self._eval(x)
+
+    def step(self, x):
+        """(f(x), Df(x)) in one ladder pass."""
+        return self._step(x)
 
     def deriv(self, x):
         return self.branch_at(x).df(x)
@@ -177,9 +212,6 @@ class PiecewiseMap:
     def deriv_lateral(self, p):
         return self._lateral_branch(p).df(p.point)
 
-    def deriv2_lateral(self, p):
-        return self._lateral_branch(p).ddf(p.point)
-
     def deriv_product(self, x, n):
         """(sum of log|Df| along n steps, product of derivative signs).
         Log space keeps 1e6-step products finite."""
@@ -187,17 +219,16 @@ class PiecewiseMap:
         sign = 1
         for i in range(n):
             try:
-                b = self.branch_at(x)
+                y, d = self._step(x)
             except ExceptionalPointError:
                 raise OrbitHitsExceptionalError(i, x) from None
-            d = b.df(x)
             if d == 0.0:
                 raise ZeroDerivativeError(
                     "derivative vanishes at x=%r" % (x,))
             log_abs += math.log(abs(d))
             if d < 0.0:
                 sign = -sign
-            x = b.f(x)
+            x = y
         return log_abs, sign
 
     def nonlinearity(self, grid_size=256):
@@ -323,6 +354,7 @@ def build_map(spec):
                 for b in bs]
 
     for b in branches:
+        prev = None
         for x in _midgrid(b.lo, b.hi, _VALIDATION_GRID):
             try:
                 y = b.f(x)
@@ -334,10 +366,16 @@ def build_map(spec):
                 raise BranchImageError(
                     "branch %r maps grid point %r to %r outside [%r, %r]"
                     % (b.source, x, y, lo, hi), witness=x)
-            if b.df(x) == 0.0:
+            d = b.df(x)
+            if d == 0.0:
                 raise ZeroDerivativeError(
                     "branch %r has zero derivative at grid point %r"
                     % (b.source, x))
+            if prev is not None and (d < 0.0) != (prev[1] < 0.0):
+                raise ZeroDerivativeError(
+                    "branch %r derivative changes sign between grid points "
+                    "%r and %r" % (b.source, prev[0], x))
+            prev = (x, d)
 
     exceptional = [b.lo for b in branches[1:]]
 

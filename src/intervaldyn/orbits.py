@@ -9,8 +9,7 @@ every statistic downstream.
 """
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BranchExplosionError,
@@ -18,6 +17,7 @@ from .errors import (
     DegenerateOrbitError,
     ExceptionalPointError,
     IntervalDynError,
+    OutOfRangeError,
     ZeroDerivativeError,
 )
 from .mapcore import LateralPoint
@@ -29,12 +29,6 @@ __all__ = [
     "find_periodic_points", "basin_sample",
     "cover_total_length", "cover_union", "cover_symdiff_length",
 ]
-
-
-def _is_exceptional(m, x):
-    exc = m.exceptional
-    i = bisect_left(exc, x)
-    return i < len(exc) and exc[i] == x
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +49,18 @@ def orbit(m, x, n):
     prefix = [0.0]
     terminated = None
     for k in range(n):
-        if _is_exceptional(m, x):
+        try:
+            y, d = m.step(x)
+        except ExceptionalPointError:
             terminated = k
             break
-        b = m.branch_at(x)
-        d = b.df(x)
         if d == 0.0:
             raise ZeroDerivativeError("derivative vanishes at x=%r" % (x,))
         prefix.append(prefix[-1] + math.log(abs(d)))
-        x = b.f(x)
+        x = y
         iterates.append(x)
     else:
-        if _is_exceptional(m, x):
+        if x in m.exceptional:
             terminated = n
     return OrbitSegment(iterates[0], iterates, prefix, terminated)
 
@@ -115,18 +109,18 @@ def omega_cover(m, x, burn_in, length, resolution):
     ks = set()
     total = burn_in + length
     for i in range(total):
-        hit = _is_exceptional(m, x)
         if i >= burn_in:
             k = int((x - lo) / resolution)
             ks.add(min(max(k, 0), nbins - 1))
-        if hit:
-            if i < burn_in:
-                raise DegenerateOrbitError(
-                    "orbit hit undefined point at index %d, before the "
-                    "observation window at %d" % (i, burn_in))
-            break
         if i + 1 < total:
-            x = m.eval(x)
+            try:
+                x = m.eval(x)
+            except ExceptionalPointError:
+                if i < burn_in:
+                    raise DegenerateOrbitError(
+                        "orbit hit undefined point at index %d, before the "
+                        "observation window at %d" % (i, burn_in)) from None
+                break
     return IntervalCover(resolution, _bins_to_cells(ks, lo, hi, resolution))
 
 
@@ -199,11 +193,10 @@ def detect_periodic_like(m, p, l_max=16, tol=1e-9):
     for eps in EPS_LADDER:
         pts = [p0 + sgn * eps]
         for _ in range(l_max):
-            y = pts[-1]
-            if _is_exceptional(m, y) or not (m.ambient[0] <= y
-                                             <= m.ambient[1]):
+            try:
+                pts.append(m.eval(pts[-1]))
+            except (ExceptionalPointError, OutOfRangeError):
                 break
-            pts.append(m.eval(y))
         orbs.append(pts)
 
     for ell in range(1, l_max + 1):
@@ -242,9 +235,10 @@ def _one_sided_convergence(m, p0, sgn, ell, rounds=40):
     shrunk = True
     for _ in range(rounds):
         for _ in range(ell):
-            if _is_exceptional(m, x):
+            try:
+                x = m.eval(x)
+            except ExceptionalPointError:
                 return False
-            x = m.eval(x)
         d = abs(x - p0)
         if sgn * (x - p0) <= 0.0 or d >= prev:
             shrunk = False
@@ -259,12 +253,6 @@ def _one_sided_convergence(m, p0, sgn, ell, rounds=40):
 _CYL_CAP = 10_000_000
 
 
-def _iterate_n(m, x, n):
-    for _ in range(n):
-        x = m.eval(x)
-    return x
-
-
 def _preimage_in(m, n, u, v, target, gu, gv):
     """Bisect the monotone f^n on (u, v) for f^n(x) = target; gu, gv are
     f^n at the (nudged) ends."""
@@ -275,14 +263,18 @@ def _preimage_in(m, n, u, v, target, gu, gv):
         if not (a < mid < b):
             break
         try:
-            gm = _iterate_n(m, mid, n)
+            gm = mid
+            for _ in range(n):
+                gm = m.eval(gm)
         except ExceptionalPointError:
             # exact hit of the undefined set mid-composition; nudge once
             mid += (b - a) * 1e-3
             if not (a < mid < b):
                 break
             try:
-                gm = _iterate_n(m, mid, n)
+                gm = mid
+                for _ in range(n):
+                    gm = m.eval(gm)
             except ExceptionalPointError:
                 break
         if (gm < target) == increasing:
@@ -347,16 +339,20 @@ def find_periodic_points(m, period_max, tol=1e-9):
 
     cylinders = [(b.lo, b.hi) for b in m.branches]
     for n in range(1, period_max + 1):
+        new_cyls = []
         for u, v in cylinders:
             nu, nv = _nudged(u, v)
             grid = [nu] + [u + (v - u) * (j + 0.5) / 18.0
                            for j in range(18)] + [nv]
-            vals = []
-            for x in grid:
+            imgs = []           # f^n on the grid, None after an exact hit
+            for y in grid:
                 try:
-                    vals.append(_iterate_n(m, x, n) - x)
+                    for _ in range(n):
+                        y = m.eval(y)
+                    imgs.append(y)
                 except ExceptionalPointError:
-                    vals.append(None)
+                    imgs.append(None)
+            vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
             for (x0, g0), (x1, g1) in zip(zip(grid, vals),
                                           zip(grid[1:], vals[1:])):
                 if g0 is None or g1 is None:
@@ -372,41 +368,41 @@ def find_periodic_points(m, period_max, tol=1e-9):
                         if mid <= a or mid >= b:
                             break
                         try:
-                            gm = _iterate_n(m, mid, n) - mid
+                            gm = mid
+                            for _ in range(n):
+                                gm = m.eval(gm)
                         except ExceptionalPointError:
                             break
+                        gm -= mid
                         if (gm < 0.0) == (ga < 0.0):
                             a, ga = mid, gm
                         else:
                             b = mid
                     record(0.5 * (a + b), n)
 
-        if n < period_max:
-            new_cyls = []
-            for u, v in cylinders:
-                nu, nv = _nudged(u, v)
-                try:
-                    gu = _iterate_n(m, nu, n)
-                    gv = _iterate_n(m, nv, n)
-                except ExceptionalPointError:
-                    new_cyls.append((u, v))
-                    continue
-                img_lo, img_hi = min(gu, gv), max(gu, gv)
-                splits = [u]
-                for c in m.exceptional:
-                    if img_lo < c < img_hi:
-                        splits.append(
-                            _preimage_in(m, n, nu, nv, c, gu, gv))
-                splits.append(v)
-                splits.sort()
-                for a, b in zip(splits, splits[1:]):
-                    if b - a > 1e-13:
-                        new_cyls.append((a, b))
-                if len(new_cyls) > _CYL_CAP:
-                    raise BranchExplosionError(
-                        "more than %d monotone pieces at period %d"
-                        % (_CYL_CAP, n + 1))
-            cylinders = new_cyls
+            # split the cylinder at the preimages of the exceptional set
+            # for period n + 1, from f^n at its nudged ends
+            if n == period_max:
+                continue
+            gu, gv = imgs[0], imgs[-1]
+            if gu is None or gv is None:
+                new_cyls.append((u, v))
+                continue
+            img_lo, img_hi = min(gu, gv), max(gu, gv)
+            splits = [u]
+            for c in m.exceptional:
+                if img_lo < c < img_hi:
+                    splits.append(_preimage_in(m, n, nu, nv, c, gu, gv))
+            splits.append(v)
+            splits.sort()
+            for a, b in zip(splits, splits[1:]):
+                if b - a > 1e-13:
+                    new_cyls.append((a, b))
+            if len(new_cyls) > _CYL_CAP:
+                raise BranchExplosionError(
+                    "more than %d monotone pieces at period %d"
+                    % (_CYL_CAP, n + 1))
+        cylinders = new_cyls
 
     results.sort()
     return results
@@ -430,7 +426,6 @@ class RawPointRecord:
     start: float
     cover: object            # IntervalCover or None if orbit died early
     periodic: object         # {"period": p, "points": [...]} or None
-    tail_min_cf_dist: object
     terminated_at: object    # step index of an exact undefined-point hit
 
 
@@ -451,34 +446,26 @@ def basin_sample(m, sample_count, seed, cfg=None):
 
 def _sample_one(m, idx, x0, cfg):
     x = x0
-    terminated = None
-    for i in range(cfg.burn_in):
-        if _is_exceptional(m, x):
-            terminated = i
-            break
-        x = m.eval(x)
-    if terminated is not None:
-        return RawPointRecord(idx, x0, None, None, None, terminated)
+    try:
+        for i in range(cfg.burn_in):
+            x = m.eval(x)
+    except ExceptionalPointError:
+        return RawPointRecord(idx, x0, None, None, i)
 
     lo, hi = m.ambient
     res = cfg.resolution
     nbins = max(1, math.ceil((hi - lo) / res - 1e-9))
-    exc = m.exceptional
     ks = set()
     tail = []
-    min_cf = float("inf")
+    terminated = None
     for i in range(cfg.length):
-        if _is_exceptional(m, x):
-            terminated = cfg.burn_in + i
-            ks.add(min(max(int((x - lo) / res), 0), nbins - 1))
-            tail.append(x)
-            min_cf = 0.0
-            break
         ks.add(min(max(int((x - lo) / res), 0), nbins - 1))
         tail.append(x)
-        if exc:
-            min_cf = min(min_cf, min(abs(x - c) for c in exc))
-        x = m.eval(x)
+        try:
+            x = m.eval(x)
+        except ExceptionalPointError:
+            terminated = cfg.burn_in + i
+            break
     cover = IntervalCover(res, _bins_to_cells(ks, lo, hi, res))
 
     periodic = None
@@ -495,7 +482,4 @@ def _sample_one(m, idx, x0, cfg):
                                 "multiplier": mult}
                 break
 
-    return RawPointRecord(idx, x0, cover,
-                          periodic,
-                          min_cf if min_cf < float("inf") else None,
-                          terminated)
+    return RawPointRecord(idx, x0, cover, periodic, terminated)

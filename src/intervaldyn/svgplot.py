@@ -11,10 +11,15 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _svg(width, height, body):
+def _svg(width, height, body, path):
+    """The document as a string, also written to path unless it is None."""
     head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d">' % (width, height, width, height))
-    return head + "".join(body) + "</svg>"
+    svg = head + "".join(body) + "</svg>"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(svg + "\n")
+    return svg
 
 
 def _rect(x, y, w, h, fill, extra=""):
@@ -65,11 +70,7 @@ def cover_strips(reports, ambient, path=None):
                               color))
         label = "%s  basin=%.3f" % (rep.kind, rep.basin_fraction)
         body.append(_text(margin, y - 3.0, label))
-    svg = _svg(_W, height, body)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(svg + "\n")
-    return svg
+    return _svg(_W, height, body, path)
 
 
 def _graph_frame(lo, hi, size, margin):
@@ -101,32 +102,23 @@ def _branch_polyline(f, lo, hi, sx, sy, color, samples=160):
     return _polyline(pts, color, 1.4) if len(pts) >= 2 else ""
 
 
-def cobweb(m, x0, n, path=None):
-    """Branch graphs plus the staircase of the first n iterates of x0.
-    An exact hit of an undefined point truncates the staircase."""
+def cobweb(m, orbit, n, path=None):
+    """Branch graphs plus the staircase of an orbit list [x0, f(x0), ...]
+    of at most n steps; an exact hit of an undefined point leaves it
+    shorter."""
     lo, hi = m.ambient
     size, margin = 480, 40.0
     sx, sy, body = _graph_frame(lo, hi, size, margin)
     for i, br in enumerate(m.branches):
         body.append(_branch_polyline(m.eval, br.lo, br.hi, sx, sy,
                                      _PALETTE[i % len(_PALETTE)]))
-    pts = [(sx(x0), sy(lo))]
-    x = x0
-    for _ in range(n):
-        try:
-            y = m.eval(x)
-        except IntervalDynError:
-            break
+    pts = [(sx(orbit[0]), sy(lo))]
+    for x, y in zip(orbit, orbit[1:]):
         pts.append((sx(x), sy(y)))
         pts.append((sx(y), sy(y)))
-        x = y
     body.append(_polyline(pts, "#222", 0.9))
-    body.append(_text(margin, size - 12.0, "x0=%g  n=%d" % (x0, n)))
-    svg = _svg(size, size, body)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(svg + "\n")
-    return svg
+    body.append(_text(margin, size - 12.0, "x0=%g  n=%d" % (orbit[0], n)))
+    return _svg(size, size, body, path)
 
 
 def return_map_graph(ind, path=None):
@@ -142,8 +134,4 @@ def return_map_graph(ind, path=None):
     body.append(_text(margin, size - 12.0,
                       "%d branches, deepest time %d"
                       % (len(ind.branches), tmax)))
-    svg = _svg(size, size, body)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(svg + "\n")
-    return svg
+    return _svg(size, size, body, path)

@@ -12,7 +12,7 @@ import mapdefs
 from intervaldyn import serialize
 from intervaldyn.cli import main
 from intervaldyn.errors import ConfigError
-from intervaldyn.mapcore import mapspec_to_dict
+from intervaldyn.mapcore import BranchSpec, MapSpec, mapspec_to_dict
 
 
 def _map_file(tmp_path, spec, name):
@@ -205,6 +205,15 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["mane", "--map", mp, "--avoid", "0.6,0.7",
                  "--out", str(tmp_path)]) == 2
     assert main(["plot", "--map", mp, "--x0", "7", "--out", str(tmp_path)]) == 2
+    # invalid branch definitions: a tiling gap, an expression syntax error,
+    # and a branch whose image leaves the ambient interval
+    for name, branches in (
+            ("gap.json", [((0.0, 0.4), "2*x"), ((0.5, 1.0), "2 - 2*x")]),
+            ("syntax.json", [((0.0, 0.5), "2*x +"), ((0.5, 1.0), "2 - 2*x")]),
+            ("image.json", [((0.0, 0.5), "3*x"), ((0.5, 1.0), "2 - 2*x")])):
+        spec = MapSpec(tuple(BranchSpec(d, e) for d, e in branches))
+        assert main(["analyze", "--map", _map_file(tmp_path, spec, name),
+                     "--out", str(tmp_path)]) == 2
     # unknown command / missing required flag come back as 2, not a crash
     assert main(["frobnicate"]) == 2
     assert main(["analyze"]) == 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -63,6 +64,60 @@ def test_image_and_derivative_validation():
         # cubic inflection placed exactly on a validation grid midpoint
         build_map(MapSpec((
             BranchSpec((0.0, 1.0), "0.5 + (x - 0.501953125)^3"),)))
+
+
+def test_derivative_sign_change_rejected():
+    # one branch through the critical point 0.5: the grid derivative 4 - 8x
+    # changes sign between the grid points 127.5/256 and 128.5/256
+    with pytest.raises(ZeroDerivativeError) as ei:
+        build_map(MapSpec((BranchSpec((0.0, 1.0), "4*x*(1-x)"),)))
+    assert "0.498046875" in str(ei.value)
+    assert "0.501953125" in str(ei.value)
+
+
+LADDER_MAPS = {
+    "tent": mapdefs.tent,
+    "doubling": mapdefs.doubling,
+    "logistic4": lambda: mapdefs.logistic(4.0),
+    "feigenbaum": lambda: mapdefs.logistic(mapdefs.FEIGENBAUM_A),
+    "jump_contraction": mapdefs.jump_contraction,
+    "plateau": mapdefs.plateau,
+    "neutral": mapdefs.neutral,
+    "extended_tent": lambda: extend_map(mapdefs.tent()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_MAPS))
+def test_ladder_agrees_with_branches(name):
+    m = LADDER_MAPS[name]()
+    rng = random.Random(name)
+    for b in m.branches:
+        for _ in range(200):
+            x = rng.uniform(b.lo, b.hi)
+            if not b.lo < x < b.hi:
+                continue
+            assert repr(m.eval(x)) == repr(b.f(x))
+            assert repr(m.step(x)) == repr((b.f(x), b.df(x)))
+    for c in m.exceptional:
+        for fn in (m.eval, m.step):
+            with pytest.raises(ExceptionalPointError):
+                fn(c)
+    # ambient endpoints through their own branch, collar knots (cuts that
+    # are not exceptional) through the branch on their right
+    lo, hi = m.ambient
+    closed = [(lo, m.branches[0]), (hi, m.branches[-1])]
+    closed += [(b.lo, b) for b in m.branches[1:]
+               if b.lo not in m.exceptional]
+    if name == "extended_tent":
+        assert len(closed) >= 4          # the old ambient ends are knots
+    for x, b in closed:
+        assert repr(m.eval(x)) == repr(b.f(x))
+        assert repr(m.step(x)) == repr((b.f(x), b.df(x)))
+    for x in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+              -math.inf, math.inf, float("nan")):
+        for fn in (m.eval, m.step):
+            with pytest.raises(OutOfRangeError):
+                fn(x)
 
 
 def test_eval(tent, doubling):
