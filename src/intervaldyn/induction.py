@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BranchExplosionError,
     ConfigError,
+    ExceptionalPointError,
     IntervalDynError,
     NeutralCoreNotBracketableError,
     NotDiffeomorphicError,
@@ -155,17 +156,18 @@ class PartitionCell:
 
 
 def _safe_eval(m, x, t, span):
-    """Composed eval with one inward-nudge retry if an intermediate iterate
-    lands exactly on an exceptional point."""
-    y = x
+    """f^t(x) with one inward-nudge retry if an iterate lands exactly on an
+    exceptional point or outside the ambient interval."""
     try:
-        for _ in range(t):
-            y = m.eval(y)
+        ys = m.walk(x, t)
     except IntervalDynError:
-        y = x + span * 1e-9
-        for _ in range(t):
-            y = m.eval(y)
-    return y
+        ys = None
+    if ys is None or len(ys) < t:
+        x += span * 1e-9
+        ys = m.walk(x, t)
+        if len(ys) < t:
+            raise ExceptionalPointError(ys[-1] if ys else x)
+    return ys[-1] if t else x
 
 
 def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):

@@ -12,9 +12,13 @@ event that orbit code reports instead of fudging.
 
 Stepping has one path.  Each map compiles its branch lookup once into a
 straight-line comparison ladder over the cuts, with the branch formulas
-inlined: `PiecewiseMap.eval` returns f(x) and `PiecewiseMap.step` returns
-(f(x), Df(x)).  Every orbit loop of the package runs on these two and
-learns of an exceptional hit from the `ExceptionalPointError` they raise.
+inlined, and emits it in three shapes: `PiecewiseMap.eval` returns f(x),
+`PiecewiseMap.step` returns (f(x), Df(x)), and `PiecewiseMap.walk` returns
+the iterates x_1 .. x_n from one compiled loop.  `eval` and `step` raise
+`ExceptionalPointError` on an exceptional hit; `walk` stops short instead.
+Loops that only compose f (basin sampling, omega covers, f^n in the
+periodic-point search) run on `walk`; loops that need Df or stop on a
+condition of their own run on `eval` and `step`.
 
 `extend_map` widens the ambient interval by one unit on each side with C1
 cubic collars that map the new outer corners into themselves (or each other
@@ -117,46 +121,65 @@ def _midgrid(a, b, n):
 
 def _compile_ladders(branches, ambient, exceptional):
     """Compile the branch lookup and the branch formulas together into
-    `f(x)` and `step(x) = (f(x), Df(x))`: one comparison per cut, where an
-    exceptional cut is open on both sides, a collar knot belongs to the arm
-    on its right and the ambient ends are closed.  Every other x (NaN too)
-    falls through to one raise.  The formulas are the `expr` codegen source
-    of the branch closures, so values agree with them bit for bit."""
+    `f(x)`, `step(x) = (f(x), Df(x))` and `walk(x, n)`, the list of
+    iterates x_1 .. x_n.  One arm per branch, shared by the three shapes:
+    one comparison per cut, where an exceptional cut is open on both sides,
+    a collar knot belongs to the arm on its right and the ambient ends are
+    closed.  Every other x (NaN too) falls through to one raise; `walk`
+    instead returns early, shorter than n, when the point it is about to
+    step is exceptional.  The formulas are the `expr` codegen source of the
+    branch closures, so values agree with them bit for bit."""
     lo, hi = ambient
     exc = frozenset(exceptional)
 
     def miss(x):
         return ExceptionalPointError(x) if x in exc else OutOfRangeError(x)
 
-    src = []
+    arms = []   # (upper test, lower test, f source, Df source)
+    for i, b in enumerate(branches):
+        if i + 1 < len(branches):
+            upper = "x < %r" % (branches[i + 1].lo,)
+        else:
+            upper = "x <= %r" % (hi,)
+        if i == 0:
+            lower = "x >= %r" % (lo,)
+        else:
+            lower = "x > %r" % (b.lo,) if b.lo in exc else "True"
+        arms.append((upper, lower, ex._codegen(b.ast), ex._codegen(b.d_ast)))
+
+    def ladder(body, pad):
+        src = []
+        for i, (upper, lower, f, df) in enumerate(arms):
+            src += [pad + "%s %s:" % ("elif" if i else "if", upper),
+                    pad + "    if %s:" % lower,
+                    pad + "        " + body.format(f=f, df=df)]
+        return src
+
     # Df before f: where both formulas raise, step raises as `deriv` does
-    for name, body in (("f", "return {f}"),
-                       ("step", "d = {df}; return {f}, d")):
-        src.append("def %s(x):" % name)
-        for i, b in enumerate(branches):
-            if i + 1 < len(branches):
-                upper = "x < %r" % (branches[i + 1].lo,)
-            else:
-                upper = "x <= %r" % (hi,)
-            if i == 0:
-                lower = "x >= %r" % (lo,)
-            else:
-                lower = "x > %r" % (b.lo,) if b.lo in exc else "True"
-            src += ["    %s %s:" % ("elif" if i else "if", upper),
-                    "        if %s:" % lower,
-                    "            " + body.format(f=ex._codegen(b.ast),
-                                                 df=ex._codegen(b.d_ast))]
-        src.append("    raise _miss(x)")
-    ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss}
+    src = (["def f(x):"] + ladder("return {f}", "    ")
+           + ["    raise _miss(x)", "def step(x):"]
+           + ladder("d = {df}; return {f}, d", "    ")
+           + ["    raise _miss(x)",
+              "def walk(x, n):",
+              "    out = []",
+              "    put = out.append",
+              "    for _ in range(n):"]
+           + ladder("x = {f}; put(x); continue", "        ")
+           + ["        if x in _exc:",
+              "            return out",
+              "        raise _miss(x)",
+              "    return out"])
+    ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss, "_exc": exc}
     exec("\n".join(src), ns)
-    return ns["f"], ns["step"]
+    return ns["f"], ns["step"], ns["walk"]
 
 
 class PiecewiseMap:
     """Compiled piecewise map.  `exceptional` is the set of undefined points,
     all of them branch cuts; branch seams outside it (collar knots of an
     extension) are smooth and evaluate through the right-hand branch.
-    `eval` and `step` are the stepping path (see the module docstring)."""
+    `eval`, `step` and `walk` are the stepping path (see the module
+    docstring)."""
 
     def __init__(self, branches, ambient, exceptional, lateral_values,
                  orders):
@@ -167,7 +190,7 @@ class PiecewiseMap:
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
         self._nonlin = None
-        self._eval, self._step = _compile_ladders(
+        self._eval, self._step, self._walk = _compile_ladders(
             self.branches, ambient, self.exceptional)
 
     # -- lookup ------------------------------------------------------------
@@ -197,6 +220,13 @@ class PiecewiseMap:
     def step(self, x):
         """(f(x), Df(x)) in one ladder pass."""
         return self._step(x)
+
+    def walk(self, x, n):
+        """The iterates x_1 .. x_n of x in one compiled loop.  Shorter than n
+        when the orbit reaches the exceptional set: the last iterate (x
+        itself if none) is then the exceptional point that eval would have
+        raised at.  Raises OutOfRangeError where eval does."""
+        return self._walk(x, n)
 
     def deriv(self, x):
         return self.branch_at(x).df(x)
@@ -366,7 +396,12 @@ def build_map(spec):
                 raise BranchImageError(
                     "branch %r maps grid point %r to %r outside [%r, %r]"
                     % (b.source, x, y, lo, hi), witness=x)
-            d = b.df(x)
+            try:
+                d = b.df(x)
+            except (ValueError, ZeroDivisionError, OverflowError) as e:
+                raise ZeroDerivativeError(
+                    "branch %r derivative undefined at grid point %r: %s"
+                    % (b.source, x, e)) from None
             if d == 0.0:
                 raise ZeroDerivativeError(
                     "branch %r has zero derivative at grid point %r"

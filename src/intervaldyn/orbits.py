@@ -9,6 +9,7 @@ every statistic downstream.
 """
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import (
@@ -92,6 +93,48 @@ def _bins_to_cells(ks, lo, hi, res):
     return cells
 
 
+# orbit steps per `walk` call of the binned loops, which bounds their memory
+_CHUNK = 4096
+
+
+def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
+    """Walk `steps` steps from x_0 = x and bin the iterates x_burn_in ..
+    x_(burn_in+length-1) at `resolution`, one chunk at a time.  Returns
+    (cells, head, hit): the merged cover cells, the first `keep` binned
+    iterates, and the index of the exceptional point the walk stopped on
+    (binned if inside the window), or None.  An iterate is binned only
+    after `walk` has stepped it, so a NaN raises OutOfRangeError first."""
+    lo, hi = m.ambient
+    nbins = max(1, math.ceil((hi - lo) / resolution - 1e-9))
+    end = burn_in + length
+    raw = set()
+    head = []
+    i = 0               # orbit index of x
+    hit = None
+    while i < steps:
+        n = min(_CHUNK, steps - i)
+        pts = [x]
+        pts += m.walk(x, n)     # x_i .. x_(i+n), shorter after a hit
+        if len(pts) <= n:
+            hit = i + len(pts) - 1
+        else:
+            x = pts.pop()       # stepped by the next chunk
+        window = pts[max(burn_in - i, 0):end - i]
+        raw |= {int((y - lo) / resolution) for y in window}
+        if len(head) < keep:
+            head += window[:keep - len(head)]
+        if hit is not None:
+            break
+        i += n
+    else:
+        if burn_in <= steps < end:      # the last iterate, never stepped
+            raw.add(int((x - lo) / resolution))
+            if len(head) < keep:
+                head.append(x)
+    ks = {min(max(k, 0), nbins - 1) for k in raw}
+    return _bins_to_cells(ks, lo, hi, resolution), head, hit
+
+
 def omega_cover(m, x, burn_in, length, resolution):
     """Visit-histogram surrogate for the limit set of the orbit of x:
     resolution-sized bins visited by iterates burn_in .. burn_in+length-1,
@@ -104,24 +147,13 @@ def omega_cover(m, x, burn_in, length, resolution):
         raise ConfigError("resolution < 1e-6")
     if length == 0:
         return IntervalCover(resolution, [])
-    lo, hi = m.ambient
-    nbins = max(1, math.ceil((hi - lo) / resolution - 1e-9))
-    ks = set()
-    total = burn_in + length
-    for i in range(total):
-        if i >= burn_in:
-            k = int((x - lo) / resolution)
-            ks.add(min(max(k, 0), nbins - 1))
-        if i + 1 < total:
-            try:
-                x = m.eval(x)
-            except ExceptionalPointError:
-                if i < burn_in:
-                    raise DegenerateOrbitError(
-                        "orbit hit undefined point at index %d, before the "
-                        "observation window at %d" % (i, burn_in)) from None
-                break
-    return IntervalCover(resolution, _bins_to_cells(ks, lo, hi, resolution))
+    cells, _, hit = _binned_walk(m, x, burn_in + length - 1, burn_in,
+                                 length, resolution)
+    if hit is not None and hit < burn_in:
+        raise DegenerateOrbitError(
+            "orbit hit undefined point at index %d, before the observation "
+            "window at %d" % (hit, burn_in))
+    return IntervalCover(resolution, cells)
 
 
 def cover_total_length(cover):
@@ -253,6 +285,13 @@ def _one_sided_convergence(m, p0, sgn, ell, rounds=40):
 _CYL_CAP = 10_000_000
 
 
+def _compose(m, x, n):
+    """f^n(x) for n >= 1, or None when the orbit reaches the exceptional
+    set first."""
+    ys = m.walk(x, n)
+    return ys[-1] if len(ys) == n else None
+
+
 def _preimage_in(m, n, u, v, target, gu, gv):
     """Bisect the monotone f^n on (u, v) for f^n(x) = target; gu, gv are
     f^n at the (nudged) ends."""
@@ -262,20 +301,14 @@ def _preimage_in(m, n, u, v, target, gu, gv):
         mid = 0.5 * (a + b)
         if not (a < mid < b):
             break
-        try:
-            gm = mid
-            for _ in range(n):
-                gm = m.eval(gm)
-        except ExceptionalPointError:
+        gm = _compose(m, mid, n)
+        if gm is None:
             # exact hit of the undefined set mid-composition; nudge once
             mid += (b - a) * 1e-3
             if not (a < mid < b):
                 break
-            try:
-                gm = mid
-                for _ in range(n):
-                    gm = m.eval(gm)
-            except ExceptionalPointError:
+            gm = _compose(m, mid, n)
+            if gm is None:
                 break
         if (gm < target) == increasing:
             a = mid
@@ -298,9 +331,14 @@ def find_periodic_points(m, period_max, tol=1e-9):
         raise ConfigError("period_max > 24 (piece count is exponential)")
     lo, hi = m.ambient
     results = []
+    xs = []             # recorded x, sorted
+    dedup = max(tol, 1e-9)
 
     def known(x):
-        return any(abs(x - r[0]) <= max(tol, 1e-9) for r in results)
+        # rounded |x - r| never shrinks away from x, so the nearest recorded
+        # point on either side decides
+        i = bisect_left(xs, x)
+        return any(abs(x - r) <= dedup for r in xs[max(i - 1, 0):i + 1])
 
     def minimal_period(x, n):
         y = x
@@ -323,6 +361,7 @@ def find_periodic_points(m, period_max, tol=1e-9):
         except (IntervalDynError, ValueError, OverflowError):
             mult = float("nan")
         results.append((x, d, mult))
+        insort(xs, x)
 
     # ambient endpoints: closures are defined there but sign-change
     # bracketing cannot see a root pinned at the domain edge
@@ -344,14 +383,8 @@ def find_periodic_points(m, period_max, tol=1e-9):
             nu, nv = _nudged(u, v)
             grid = [nu] + [u + (v - u) * (j + 0.5) / 18.0
                            for j in range(18)] + [nv]
-            imgs = []           # f^n on the grid, None after an exact hit
-            for y in grid:
-                try:
-                    for _ in range(n):
-                        y = m.eval(y)
-                    imgs.append(y)
-                except ExceptionalPointError:
-                    imgs.append(None)
+            # f^n on the grid, None after an exact hit
+            imgs = [_compose(m, y, n) for y in grid]
             vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
             for (x0, g0), (x1, g1) in zip(zip(grid, vals),
                                           zip(grid[1:], vals[1:])):
@@ -367,11 +400,8 @@ def find_periodic_points(m, period_max, tol=1e-9):
                         mid = 0.5 * (a + b)
                         if mid <= a or mid >= b:
                             break
-                        try:
-                            gm = mid
-                            for _ in range(n):
-                                gm = m.eval(gm)
-                        except ExceptionalPointError:
+                        gm = _compose(m, mid, n)
+                        if gm is None:
                             break
                         gm -= mid
                         if (gm < 0.0) == (ga < 0.0):
@@ -445,41 +475,26 @@ def basin_sample(m, sample_count, seed, cfg=None):
 
 
 def _sample_one(m, idx, x0, cfg):
-    x = x0
-    try:
-        for i in range(cfg.burn_in):
-            x = m.eval(x)
-    except ExceptionalPointError:
-        return RawPointRecord(idx, x0, None, None, i)
-
-    lo, hi = m.ambient
-    res = cfg.resolution
-    nbins = max(1, math.ceil((hi - lo) / res - 1e-9))
-    ks = set()
-    tail = []
-    terminated = None
-    for i in range(cfg.length):
-        ks.add(min(max(int((x - lo) / res), 0), nbins - 1))
-        tail.append(x)
-        try:
-            x = m.eval(x)
-        except ExceptionalPointError:
-            terminated = cfg.burn_in + i
-            break
-    cover = IntervalCover(res, _bins_to_cells(ks, lo, hi, res))
+    cells, head, hit = _binned_walk(
+        m, x0, cfg.burn_in + cfg.length, cfg.burn_in, cfg.length,
+        cfg.resolution, cfg.periodic_scan + 1)
+    if hit is not None and hit < cfg.burn_in:
+        return RawPointRecord(idx, x0, None, None, hit)
+    cover = IntervalCover(cfg.resolution, cells)
 
     periodic = None
-    if terminated is None and len(tail) > 1:
-        for p in range(1, min(cfg.periodic_scan, len(tail) - 1) + 1):
-            if abs(tail[p] - tail[0]) <= cfg.conv_tol:
+    # unterminated, so the window holds all cfg.length iterates
+    if hit is None and cfg.length > 1:
+        for p in range(1, min(cfg.periodic_scan, cfg.length - 1) + 1):
+            if abs(head[p] - head[0]) <= cfg.conv_tol:
                 try:
-                    log_abs, _ = m.deriv_product(tail[0], p)
+                    log_abs, _ = m.deriv_product(head[0], p)
                     mult = math.exp(log_abs)
                 except Exception:
                     break
                 if mult <= 1.0 + 1e-9:
-                    periodic = {"period": p, "points": tail[:p],
+                    periodic = {"period": p, "points": head[:p],
                                 "multiplier": mult}
                 break
 
-    return RawPointRecord(idx, x0, cover, periodic, terminated)
+    return RawPointRecord(idx, x0, cover, periodic, hit)

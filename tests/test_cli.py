@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import mapdefs
+import intervaldyn
 from intervaldyn import serialize
 from intervaldyn.cli import main
 from intervaldyn.errors import ConfigError
@@ -206,11 +208,14 @@ def test_exit_code_config_errors(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["plot", "--map", mp, "--x0", "7", "--out", str(tmp_path)]) == 2
     # invalid branch definitions: a tiling gap, an expression syntax error,
-    # and a branch whose image leaves the ambient interval
+    # a branch whose image leaves the ambient interval, and a derivative
+    # that is singular at a validation grid point
     for name, branches in (
             ("gap.json", [((0.0, 0.4), "2*x"), ((0.5, 1.0), "2 - 2*x")]),
             ("syntax.json", [((0.0, 0.5), "2*x +"), ((0.5, 1.0), "2 - 2*x")]),
-            ("image.json", [((0.0, 0.5), "3*x"), ((0.5, 1.0), "2 - 2*x")])):
+            ("image.json", [((0.0, 0.5), "3*x"), ((0.5, 1.0), "2 - 2*x")]),
+            ("singular.json",
+             [((0.0, 1.0), "0.25 + 0.5*abs(x - 0.501953125)")])):
         spec = MapSpec(tuple(BranchSpec(d, e) for d, e in branches))
         assert main(["analyze", "--map", _map_file(tmp_path, spec, name),
                      "--out", str(tmp_path)]) == 2
@@ -229,9 +234,12 @@ def test_exit_code_computation_error(tmp_path):
 
 def test_module_entrypoint_runs(tmp_path):
     mp = _map_file(tmp_path, mapdefs.tent_spec(), "tent.json")
+    # the child process imports the package this test imported
+    pkg_root = os.path.dirname(os.path.dirname(intervaldyn.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "intervaldyn.cli", "analyze",
          "--map", mp, "--out", str(tmp_path / "a")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pkg_root))
     assert proc.returncode == 0
     assert (tmp_path / "a" / "report.json").exists()

@@ -66,6 +66,15 @@ def test_image_and_derivative_validation():
             BranchSpec((0.0, 1.0), "0.5 + (x - 0.501953125)^3"),)))
 
 
+def test_singular_derivative_rejected():
+    # the kink of abs sits on the validation grid point 128.5/256, where the
+    # symbolic derivative divides by zero
+    with pytest.raises(ZeroDerivativeError) as ei:
+        build_map(MapSpec((
+            BranchSpec((0.0, 1.0), "0.25 + 0.5*abs(x - 0.501953125)"),)))
+    assert "0.501953125" in str(ei.value)
+
+
 def test_derivative_sign_change_rejected():
     # one branch through the critical point 0.5: the grid derivative 4 - 8x
     # changes sign between the grid points 127.5/256 and 128.5/256
@@ -115,9 +124,39 @@ def test_ladder_agrees_with_branches(name):
         assert repr(m.step(x)) == repr((b.f(x), b.df(x)))
     for x in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
               -math.inf, math.inf, float("nan")):
-        for fn in (m.eval, m.step):
+        for fn in (m.eval, m.step, lambda x: m.walk(x, 5)):
             with pytest.raises(OutOfRangeError):
                 fn(x)
+    # walk is n repeated evals, bit for bit, stopping short where eval
+    # would raise ExceptionalPointError
+    starts = [rng.uniform(lo, hi) for _ in range(20)] + [x for x, _ in closed]
+    for x in starts:
+        want = _evals(m, x, 300)
+        assert [repr(y) for y in m.walk(x, 300)] == [repr(y) for y in want]
+        assert m.walk(x, 0) == []
+    for c in m.exceptional:
+        assert m.walk(c, 3) == []
+
+
+def _evals(m, x, n):
+    out = []
+    for _ in range(n):
+        try:
+            x = m.eval(x)
+        except ExceptionalPointError:
+            break
+        out.append(x)
+    return out
+
+
+def test_walk_stops_at_exceptional_point(doubling):
+    # dyadic starts reach the break 0.5 exactly and stop there
+    assert doubling.walk(0.375, 10) == [0.75, 0.5]
+    assert doubling.walk(0.375, 2) == [0.75, 0.5]
+    assert doubling.walk(0.375, 1) == [0.75]
+    ys = doubling.walk(0.1, 200)
+    assert 0 < len(ys) < 200 and ys[-1] == 0.5
+    assert ys == _evals(doubling, 0.1, 200)
 
 
 def test_eval(tent, doubling):

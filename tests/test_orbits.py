@@ -1,12 +1,20 @@
 import math
+import tracemalloc
 
 import pytest
 
-from intervaldyn.errors import ConfigError, DegenerateOrbitError
-from intervaldyn.mapcore import LateralPoint
+from intervaldyn import orbits
+from intervaldyn.errors import (
+    ConfigError,
+    DegenerateOrbitError,
+    ExceptionalPointError,
+    OutOfRangeError,
+)
+from intervaldyn.mapcore import BranchSpec, LateralPoint, MapSpec, build_map
 from intervaldyn.orbits import (
     BasinConfig,
     IntervalCover,
+    RawPointRecord,
     basin_sample,
     cover_symdiff_length,
     cover_total_length,
@@ -220,3 +228,153 @@ def test_basin_sample_deterministic(logistic32):
     a = basin_sample(logistic32, 3, seed=99, cfg=cfg)
     b = basin_sample(logistic32, 3, seed=99, cfg=cfg)
     assert a == b
+
+
+# -- reference: the per-step eval loops that basin sampling and omega
+# covers ran before they moved onto the chunked `walk`
+
+def _ref_omega_cover(m, x, burn_in, length, resolution):
+    if length == 0:
+        return IntervalCover(resolution, [])
+    lo, hi = m.ambient
+    nbins = max(1, math.ceil((hi - lo) / resolution - 1e-9))
+    ks = set()
+    total = burn_in + length
+    for i in range(total):
+        if i >= burn_in:
+            k = int((x - lo) / resolution)
+            ks.add(min(max(k, 0), nbins - 1))
+        if i + 1 < total:
+            try:
+                x = m.eval(x)
+            except ExceptionalPointError:
+                if i < burn_in:
+                    raise DegenerateOrbitError(
+                        "orbit hit undefined point at index %d, before the "
+                        "observation window at %d" % (i, burn_in)) from None
+                break
+    return IntervalCover(resolution,
+                         orbits._bins_to_cells(ks, lo, hi, resolution))
+
+
+def _ref_sample_one(m, idx, x0, cfg):
+    x = x0
+    try:
+        for i in range(cfg.burn_in):
+            x = m.eval(x)
+    except ExceptionalPointError:
+        return RawPointRecord(idx, x0, None, None, i)
+    lo, hi = m.ambient
+    res = cfg.resolution
+    nbins = max(1, math.ceil((hi - lo) / res - 1e-9))
+    ks = set()
+    tail = []
+    terminated = None
+    for i in range(cfg.length):
+        ks.add(min(max(int((x - lo) / res), 0), nbins - 1))
+        tail.append(x)
+        try:
+            x = m.eval(x)
+        except ExceptionalPointError:
+            terminated = cfg.burn_in + i
+            break
+    cover = IntervalCover(res, orbits._bins_to_cells(ks, lo, hi, res))
+    periodic = None
+    if terminated is None and len(tail) > 1:
+        for p in range(1, min(cfg.periodic_scan, len(tail) - 1) + 1):
+            if abs(tail[p] - tail[0]) <= cfg.conv_tol:
+                try:
+                    log_abs, _ = m.deriv_product(tail[0], p)
+                    mult = math.exp(log_abs)
+                except Exception:
+                    break
+                if mult <= 1.0 + 1e-9:
+                    periodic = {"period": p, "points": tail[:p],
+                                "multiplier": mult}
+                break
+    return RawPointRecord(idx, x0, cover, periodic, terminated)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateOrbitError as e:
+        return ("degenerate", str(e))
+
+
+REFERENCE_MAPS = {
+    "logistic4": lambda: mapdefs.logistic(4.0),
+    "feigenbaum": lambda: mapdefs.logistic(mapdefs.FEIGENBAUM_A),
+    "logistic32": lambda: mapdefs.logistic(3.2),
+    "tent": mapdefs.tent,
+    "doubling": mapdefs.doubling,
+}
+
+
+@pytest.mark.parametrize("chunk", [orbits._CHUNK, 5])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_walk_loops_match_per_step_reference(name, chunk, monkeypatch):
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    m = REFERENCE_MAPS[name]()
+    rng = SplitMix64(len(name))
+    length = 3 * chunk + 7
+    # the dyadic starts collapse onto 0.5 on tent and doubling: before the
+    # window, on its first and last iterates, and on the one just past it
+    starts = [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.375, 0.3125]
+    cases = [(b, n) for b in (0, 1, 2, 3, 60) for n in (0, 1, 2, 3, length)]
+    cases += [(chunk, 3), (2 * chunk + 1, 2), (chunk - 1, length)]
+    for x0 in starts:
+        for burn_in, n in cases:
+            cfg = BasinConfig(burn_in=burn_in, length=n, resolution=1e-3,
+                              periodic_scan=8)
+            assert (orbits._sample_one(m, 7, x0, cfg)
+                    == _ref_sample_one(m, 7, x0, cfg)), (x0, burn_in, n)
+            assert (_outcome(omega_cover, m, x0, burn_in, n, 1e-3)
+                    == _outcome(_ref_omega_cover, m, x0, burn_in, n,
+                                1e-3)), (x0, burn_in, n)
+
+
+def test_walk_loops_reference_sees_every_outcome():
+    # the comparison above covers degenerate, terminated, periodic and plain
+    # records
+    cfg = BasinConfig(burn_in=2, length=30, resolution=1e-3, periodic_scan=8)
+    tent, log32 = mapdefs.tent(), mapdefs.logistic(3.2)
+    assert _ref_sample_one(tent, 0, 0.375, BasinConfig(burn_in=60)) \
+        .terminated_at == 2
+    assert _ref_sample_one(tent, 0, 0.3125, cfg).terminated_at == 3
+    assert _ref_sample_one(log32, 0, 0.3, BasinConfig()).periodic is not None
+    with pytest.raises(DegenerateOrbitError):
+        _ref_omega_cover(tent, 0.375, 60, 10, 1e-3)
+
+
+def test_nan_iterate_in_window_is_out_of_range():
+    # 0*inf is NaN just right of 0.3, off the validation grid; the per-step
+    # loops binned that iterate before stepping it and raised ValueError
+    m = build_map(MapSpec((BranchSpec((0.0, 1.0),
+                                      "x + 0*(1e300/(x - 0.3))"),)))
+    x0 = math.nextafter(0.3, 1.0)
+    assert math.isnan(m.eval(x0))
+    with pytest.raises(OutOfRangeError):
+        omega_cover(m, x0, 0, 5, 1e-3)
+    with pytest.raises(OutOfRangeError):
+        orbits._sample_one(m, 0, x0, BasinConfig(burn_in=0, length=5))
+
+
+def test_walk_loops_memory_does_not_grow_with_window():
+    m = mapdefs.logistic(4.0)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long_ = 3 * orbits._CHUNK, 200_000
+    for run in (lambda n: omega_cover(m, 0.3, 100, n, 1e-3),
+                lambda n: basin_sample(m, 1, 5, BasinConfig(length=n))):
+        small, big = peak(lambda: run(short)), peak(lambda: run(long_))
+        # a list of the 200k window iterates alone would take ~6 MB
+        assert big < small + 64 * 1024, (small, big)
+        assert big < 1024 * 1024, big
