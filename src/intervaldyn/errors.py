@@ -65,8 +65,9 @@ class BranchImageError(MapError):
 
 
 class ZeroDerivativeError(MapError):
-    """A branch derivative vanishes at an interior sample point (branches must
-    be diffeomorphisms onto their images)."""
+    """A branch derivative vanishes, changes sign or is undefined at an
+    interior sample point, or the second derivative is undefined there
+    (branches must be C2 diffeomorphisms onto their images)."""
 
 
 class ExceptionalPointError(MapError):
@@ -93,10 +94,6 @@ class OrbitHitsExceptionalError(MapError):
         super().__init__(
             "orbit hit undefined point x=%r after %d steps" % (point, index)
         )
-
-
-class ExtensionError(MapError):
-    """Could not build a valid collar extension."""
 
 
 # ---------------------------------------------------------------------------

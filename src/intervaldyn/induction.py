@@ -238,9 +238,12 @@ def _advance(m, cyl, flags):
     apply f once to every piece."""
     amb_lo, amb_hi = m.ambient
     out = []
+    dom = {}        # each interior cut ends one segment and starts the next
     for s0, s1 in _segments(m, cyl.a, cyl.b):
-        u0, _ = _dom_point(m, cyl, s0)
-        u1, _ = _dom_point(m, cyl, s1)
+        for s in (s0, s1):
+            if s not in dom:
+                dom[s], _ = _dom_point(m, cyl, s)
+        u0, u1 = dom[s0], dom[s1]
         d_lo, d_hi = (u0, u1) if u0 <= u1 else (u1, u0)
         if d_hi - d_lo <= _SLIVER:
             continue
@@ -276,12 +279,14 @@ def _extract(m, cyl, target):
     if d_hi - d_lo > _SLIVER:
         branch = InducedBranch(d_lo, d_hi, cyl.time, cyl.orient,
                                min(y0, y1), max(y0, y1))
+    # the cylinder's own ends map back without a pull-back
+    a_dom, _ = _dom_point(m, cyl, cyl.a)
+    b_dom, _ = _dom_point(m, cyl, cyl.b)
     remnants = []
-    for seg_a, seg_b in ((cyl.a, ov_lo), (ov_hi, cyl.b)):
+    for seg_a, seg_b, va, vb in ((cyl.a, ov_lo, a_dom, u0),
+                                 (ov_hi, cyl.b, u1, b_dom)):
         if seg_b - seg_a <= _SLIVER:
             continue
-        va, _ = _dom_point(m, cyl, seg_a)
-        vb, _ = _dom_point(m, cyl, seg_b)
         r_lo, r_hi = (va, vb) if va <= vb else (vb, va)
         if r_hi - r_lo <= _SLIVER:
             continue
@@ -537,6 +542,7 @@ _FIX_GRID = 1 << 14
 _FIX_TOL = 1e-10
 _FLANK_PROBES = 48
 _FLANK_CAP = 250_000     # budget of f-steps per flank probe
+_EXPANSION_PROBES = 25   # interior probes per branch for min |D(f^t)|
 
 
 def _branch_pull(ind, br, target):
@@ -621,7 +627,7 @@ def _gamma_bound(m, ind, eps, o1, length_i, details):
     return math.exp(expo) if expo < 700.0 else math.inf
 
 
-def expansion_analysis(ind, m, probes=25):
+def expansion_analysis(ind, m):
     """Certify the return map as uniformly expanding, or locate the neutral
     core and probe the composed flank-return derivative."""
     if ind.kind != "first_return":
@@ -636,7 +642,10 @@ def expansion_analysis(ind, m, probes=25):
     applicable = eps < 1.0 / (6.0 * K) if math.isfinite(K) else False
     details = {"distortion": dist, "o_one": o1}
 
-    offsets = [1e-4] + [(k + 0.5) / probes for k in range(probes)] + [1.0 - 1e-4]
+    offsets = ([1e-4]
+               + [(k + 0.5) / _EXPANSION_PROBES
+                  for k in range(_EXPANSION_PROBES)]
+               + [1.0 - 1e-4])
     per_branch = []
     for br in ind.branches:
         w = br.hi - br.lo

@@ -6,6 +6,12 @@ where the map is undefined (only lateral limits exist there).  Branches are
 expression ASTs compiled together with their first and second symbolic
 derivatives.
 
+`build_map` is the one construction pass.  It checks the tiling, then walks
+each branch's validation grid once: the image must stay in the ambient
+interval, Df must be defined, nonzero and of one sign, and D2f must be
+defined.  The same walk records min |Df| and sup |D2f|/|Df| on the branch,
+which `validate_nonflat` and `PiecewiseMap.nonlinearity` report.
+
 Exact binary64 equality decides membership in the exceptional set: the
 orbit of a typical point never hits it, while an exact hit is a meaningful
 event that orbit code reports instead of fudging.
@@ -19,12 +25,6 @@ the iterates x_1 .. x_n from one compiled loop.  `eval` and `step` raise
 Loops that only compose f (basin sampling, omega covers, f^n in the
 periodic-point search) run on `walk`; loops that need Df or stop on a
 condition of their own run on `eval` and `step`.
-
-`extend_map` widens the ambient interval by one unit on each side with C1
-cubic collars that map the new outer corners into themselves (or each other
-for decreasing boundaries) and create no attracting fixed point inside the
-collars, so every collar orbit either converges to a corner or enters the
-original interval.
 """
 
 import math
@@ -36,7 +36,6 @@ from .errors import (
     BranchImageError,
     ConfigError,
     ExceptionalPointError,
-    ExtensionError,
     OrbitHitsExceptionalError,
     OutOfRangeError,
     TilingError,
@@ -45,7 +44,7 @@ from .errors import (
 
 __all__ = [
     "LateralPoint", "BranchSpec", "MapSpec", "Branch", "PiecewiseMap",
-    "build_map", "extend_map", "validate_nonflat", "ValidationReport",
+    "build_map", "validate_nonflat", "ValidationReport",
     "mapspec_from_dict", "mapspec_to_dict",
 ]
 
@@ -102,14 +101,17 @@ class Branch:
     f: object
     df: object
     ddf: object
+    # grid survey recorded by build_map: min |Df| and sup |D2f|/|Df| over
+    # the validation grid
+    min_abs_deriv: float = None
+    nonlinearity: float = None
 
     @classmethod
     def from_source(cls, lo, hi, source):
-        ast = ex.parse(source) if isinstance(source, str) else source
-        src = source if isinstance(source, str) else ex.to_source(source)
+        ast = ex.parse(source)
         d_ast = ex.differentiate(ast)
         d2_ast = ex.differentiate(d_ast)
-        return cls(lo, hi, src, ast, d_ast, d2_ast,
+        return cls(lo, hi, source, ast, d_ast, d2_ast,
                    ex.compile_fn(ast), ex.compile_fn(d_ast),
                    ex.compile_fn(d2_ast))
 
@@ -123,13 +125,13 @@ def _compile_ladders(branches, ambient, exceptional):
     """Compile the branch lookup and the branch formulas together into
     `f(x)`, `step(x) = (f(x), Df(x))` and `walk(x, n)`, the list of
     iterates x_1 .. x_n.  One arm per branch, shared by the three shapes:
-    one comparison per cut, where an exceptional cut is open on both sides,
-    a collar knot belongs to the arm on its right and the ambient ends are
-    closed.  Every other x (NaN too) falls through to one raise; `walk`
-    instead returns early, shorter than n, when the point it is about to
-    step is exceptional.  The formulas are the `expr` codegen source of the
-    branch closures, so values agree with them bit for bit."""
-    lo, hi = ambient
+    one comparison per cut, where every interior cut is exceptional and
+    open on both sides and the ambient ends are closed.  Every other x (NaN
+    too) falls through to one raise; `walk` instead returns early, shorter
+    than n, when the point it is about to step is exceptional.  The
+    formulas are the `expr` codegen source of the branch closures, so
+    values agree with them bit for bit."""
+    hi = ambient[1]
     exc = frozenset(exceptional)
 
     def miss(x):
@@ -141,10 +143,7 @@ def _compile_ladders(branches, ambient, exceptional):
             upper = "x < %r" % (branches[i + 1].lo,)
         else:
             upper = "x <= %r" % (hi,)
-        if i == 0:
-            lower = "x >= %r" % (lo,)
-        else:
-            lower = "x > %r" % (b.lo,) if b.lo in exc else "True"
+        lower = ("x > %r" if i else "x >= %r") % (b.lo,)
         arms.append((upper, lower, ex._codegen(b.ast), ex._codegen(b.d_ast)))
 
     def ladder(body, pad):
@@ -175,21 +174,18 @@ def _compile_ladders(branches, ambient, exceptional):
 
 
 class PiecewiseMap:
-    """Compiled piecewise map.  `exceptional` is the set of undefined points,
-    all of them branch cuts; branch seams outside it (collar knots of an
-    extension) are smooth and evaluate through the right-hand branch.
-    `eval`, `step` and `walk` are the stepping path (see the module
-    docstring)."""
+    """Compiled piecewise map, made by `build_map` from branches sorted by
+    domain.  `exceptional` is the set of undefined points: every interior
+    branch cut.  `eval`, `step` and `walk` are the stepping path (see the
+    module docstring)."""
 
-    def __init__(self, branches, ambient, exceptional, lateral_values,
-                 orders):
-        self.branches = sorted(branches, key=lambda b: b.lo)
+    def __init__(self, branches, ambient, lateral_values, orders):
+        self.branches = branches
         self.ambient = ambient
-        self.exceptional = sorted(exceptional)
+        self.exceptional = [b.lo for b in self.branches[1:]]
         self.lateral_values = lateral_values
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
-        self._nonlin = None
         self._eval, self._step, self._walk = _compile_ladders(
             self.branches, ambient, self.exceptional)
 
@@ -231,9 +227,6 @@ class PiecewiseMap:
     def deriv(self, x):
         return self.branch_at(x).df(x)
 
-    def deriv2(self, x):
-        return self.branch_at(x).ddf(x)
-
     def eval_lateral(self, p):
         # branch closures are C2, so the one-sided limit is plain closure
         # evaluation of the adjacent branch
@@ -261,18 +254,10 @@ class PiecewiseMap:
             x = y
         return log_abs, sign
 
-    def nonlinearity(self, grid_size=256):
-        """sup |D2f| / |Df| over a per-branch midpoint grid; the concrete
-        distortion-rate estimate used by the induction layer."""
-        if self._nonlin is None:
-            worst = 0.0
-            for b in self.branches:
-                for x in _midgrid(b.lo, b.hi, grid_size):
-                    d = b.df(x)
-                    if d != 0.0:
-                        worst = max(worst, abs(b.ddf(x)) / abs(d))
-            self._nonlin = worst
-        return self._nonlin
+    def nonlinearity(self):
+        """sup |D2f| / |Df| over the validation grids of all branches; the
+        concrete distortion-rate estimate used by the induction layer."""
+        return max(b.nonlinearity for b in self.branches)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +370,8 @@ def build_map(spec):
 
     for b in branches:
         prev = None
+        min_d = float("inf")
+        nonlin = 0.0
         for x in _midgrid(b.lo, b.hi, _VALIDATION_GRID):
             try:
                 y = b.f(x)
@@ -411,14 +398,21 @@ def build_map(spec):
                     "branch %r derivative changes sign between grid points "
                     "%r and %r" % (b.source, prev[0], x))
             prev = (x, d)
-
-    exceptional = [b.lo for b in branches[1:]]
+            try:
+                dd = b.ddf(x)
+            except (ValueError, ZeroDivisionError, OverflowError) as e:
+                raise ZeroDerivativeError(
+                    "branch %r second derivative undefined at grid point "
+                    "%r: %s" % (b.source, x, e)) from None
+            min_d = min(min_d, abs(d))
+            nonlin = max(nonlin, abs(dd) / abs(d))
+        b.min_abs_deriv = min_d
+        b.nonlinearity = nonlin
 
     lateral_values = []
     orders = {}
-    for i, c in enumerate(exceptional):
-        left_branch = branches[i]
-        right_branch = branches[i + 1]
+    for left_branch, right_branch in zip(branches, branches[1:]):
+        c = right_branch.lo
         pl = LateralPoint(c, "left")
         pr = LateralPoint(c, "right")
         lateral_values.append((pl, left_branch.f(c)))
@@ -426,8 +420,7 @@ def build_map(spec):
         orders[(c, "left")] = _local_order(left_branch, c)
         orders[(c, "right")] = _local_order(right_branch, c)
 
-    return PiecewiseMap(branches, (lo, hi), exceptional, lateral_values,
-                        orders)
+    return PiecewiseMap(branches, (lo, hi), lateral_values, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -448,31 +441,20 @@ class ValidationReport:
         return not self.flags
 
 
-def validate_nonflat(m, grid_size=256):
-    if grid_size < 100:
-        raise ConfigError("grid_size must be >= 100, got %r" % (grid_size,))
+def validate_nonflat(m):
+    """The grid survey of every branch (see `build_map`) and a log-log fit
+    of the non-flat order on each side of every exceptional point."""
     rep = ValidationReport()
     for b in m.branches:
-        min_d = float("inf")
-        nonlin = 0.0
-        for x in _midgrid(b.lo, b.hi, grid_size):
-            d = abs(b.df(x))
-            min_d = min(min_d, d)
-            if d > 0.0:
-                nonlin = max(nonlin, abs(b.ddf(x)) / d)
         rep.branches.append({
             "domain": [b.lo, b.hi],
             "expr": b.source,
-            "min_abs_deriv": min_d,
-            "nonlinearity": nonlin,
+            "min_abs_deriv": b.min_abs_deriv,
+            "nonlinearity": b.nonlinearity,
         })
-        if min_d == 0.0:
-            rep.flags.append(
-                "zero derivative inside branch %r" % (b.source,))
-    for c in m.exceptional:
-        i = bisect_right(m._cuts, c) - 1
-        for side, br, sgn in (("left", m.branches[i - 1], -1.0),
-                              ("right", m.branches[i], 1.0)):
+    for left, right in zip(m.branches, m.branches[1:]):
+        c = right.lo
+        for side, br, sgn in (("left", left, -1.0), ("right", right, 1.0)):
             fit = _fitted_order(br, c, sgn)
             declared = m.orders.get((c, side))
             entry = {
@@ -488,167 +470,3 @@ def validate_nonflat(m, grid_size=256):
                     "flat point at %r (%s side): fitted order %.3f < 1"
                     % (c, side, fit))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# collar extension
-
-def _hermite_ast(x0, y0, m0, x1, y1, m1):
-    """Cubic matching values/slopes at x0, x1, as an AST in Horner form."""
-    w = x1 - x0
-    delta = (y1 - y0) / w
-    c1 = m0
-    c2 = (3.0 * delta - 2.0 * m0 - m1) / w
-    c3 = (m0 + m1 - 2.0 * delta) / (w * w)
-    s = ex.Binary("-", ex.X, ex.Const(x0))
-    horner = ex.Binary("+", ex.Const(c2), ex.Binary("*", s, ex.Const(c3)))
-    horner = ex.Binary("+", ex.Const(c1), ex.Binary("*", s, horner))
-    return ex.Binary("+", ex.Const(y0), ex.Binary("*", s, horner))
-
-
-def _check_collar(pieces, increasing, diag_sign, bounds, n=1000):
-    """pieces: [(x0, x1, fn, dfn)].  Verifies strict monotonicity, image
-    inside bounds, and that h(x) - x keeps the sign diag_sign on the open
-    collar (0 disables the diagonal check)."""
-    blo, bhi = bounds
-    for x0, x1, f, df in pieces:
-        for x in _midgrid(x0, x1, max(8, int(n * (x1 - x0) / 1.0))):
-            d = df(x)
-            if increasing and d <= 1e-12:
-                return False
-            if not increasing and d >= -1e-12:
-                return False
-            y = f(x)
-            if not (blo - 1e-9 <= y <= bhi + 1e-9):
-                return False
-            if diag_sign > 0 and y - x <= 0.0:
-                return False
-            if diag_sign < 0 and y - x >= 0.0:
-                return False
-    return True
-
-
-def _make_collar(x_out, x_in, y_in, d_in, bounds):
-    """Collar on [min(x_out,x_in), max(..)] joining the outer corner to the
-    boundary value/slope of the inner map.  Returns a list of
-    (lo, hi, ast) pieces, ordered left to right.
-
-    Increasing boundary slope: the outer corner is fixed (x_out -> x_out)
-    and the collar stays on one side of the diagonal so orbits drift to the
-    corner or exit into the original interval.  Decreasing slope: the outer
-    corner maps to the opposite corner and the collar cannot cross the
-    diagonal at all.
-    """
-    blo, bhi = bounds
-    left_side = x_out < x_in
-    if d_in == 0.0:
-        raise ExtensionError("boundary derivative of the map is zero")
-
-    if d_in > 0.0:
-        y_out = x_out
-        fixed = (y_in == x_in)
-        if fixed:
-            # proven side: slope-0.5 outer end keeps the cubic on the
-            # corner-attracting side of the diagonal for every d_in >= 1
-            if d_in >= 1.0:
-                diag = -1.0 if left_side else 1.0
-                m_candidates = [0.5, 0.4, 0.25]
-            else:
-                # boundary fixed point already attracts inside the ambient
-                # interval; the collar joins its basin
-                diag = 1.0 if left_side else -1.0
-                m_candidates = [2.0, 1.5, 3.0]
-        else:
-            diag = 1.0 if left_side else -1.0
-            m_candidates = [2.0, 1.0, 1.5, 3.0, 0.5]
-        increasing = True
-    else:
-        y_out = bhi if left_side else blo
-        diag = 1.0 if left_side else -1.0
-        m_candidates = [-0.5, -1.0, -2.0, -0.25]
-        increasing = False
-
-    if left_side:
-        x0, y0, x1, y1 = x_out, y_out, x_in, y_in
-    else:
-        x0, y0, x1, y1 = x_in, y_in, x_out, y_out
-
-    def assemble(knot):
-        # knot: None, or (xk, yk, mk) inserted next to the inner boundary
-        out = []
-        if knot is None:
-            m_lo = m_out if left_side else d_in
-            m_hi = d_in if left_side else m_out
-            out.append((x0, x1, _hermite_ast(x0, y0, m_lo, x1, y1, m_hi)))
-        else:
-            xk, yk, mk = knot
-            if left_side:
-                out.append((x0, xk, _hermite_ast(x0, y0, m_out, xk, yk, mk)))
-                out.append((xk, x1, _hermite_ast(xk, yk, mk, x1, y1, d_in)))
-            else:
-                out.append((x0, xk, _hermite_ast(x0, y0, d_in, xk, yk, mk)))
-                out.append((xk, x1, _hermite_ast(xk, yk, mk, x1, y1, m_out)))
-        return out
-
-    def verify(pieces):
-        fns = [(a, b, ex.compile_fn(ast),
-                ex.compile_fn(ex.differentiate(ast)))
-               for a, b, ast in pieces]
-        return _check_collar(fns, increasing, diag, bounds)
-
-    for m_out in m_candidates:
-        pieces = assemble(None)
-        if verify(pieces):
-            return pieces
-
-    # steep boundary slope: localize it in a short piece next to the inner
-    # boundary so each piece's slopes stay within ~3x its secant
-    m_out = m_candidates[0]
-    w = abs(x_in - x_out)
-    for k in range(1, 41):
-        eta = w * 2.0 ** (-k)
-        drop = eta * abs(d_in) / 2.9
-        if left_side:
-            xk = x_in - eta
-            yk = y_in - drop if increasing else y_in + drop
-        else:
-            xk = x_in + eta
-            yk = y_in + drop if increasing else y_in - drop
-        if not (blo < yk < bhi):
-            continue
-        # knot slope: small enough for the long outer piece
-        if left_side:
-            sec_out = (yk - y0) / (xk - x0)
-        else:
-            sec_out = (y_out - yk) / (x_out - xk)
-        mk = sec_out
-        pieces = assemble((xk, yk, mk))
-        if verify(pieces):
-            return pieces
-    raise ExtensionError(
-        "could not build a %s collar for boundary slope %r"
-        % ("left" if left_side else "right", d_in))
-
-
-def extend_map(m):
-    """Widen the ambient interval by 1 on each side; same exceptional set,
-    C1 seams at the old boundary, outer corners mapped into themselves /
-    each other per the collar construction."""
-    lo, hi = m.ambient
-    bounds = (lo - 1.0, hi + 1.0)
-
-    first, last = m.branches[0], m.branches[-1]
-    left_pieces = _make_collar(lo - 1.0, lo, first.f(lo), first.df(lo),
-                               bounds)
-    right_pieces = _make_collar(hi + 1.0, hi, last.f(hi), last.df(hi),
-                                bounds)
-
-    branches = []
-    for a, b, ast in left_pieces:
-        branches.append(Branch.from_source(a, b, ast))
-    branches.extend(m.branches)
-    for a, b, ast in right_pieces:
-        branches.append(Branch.from_source(a, b, ast))
-
-    return PiecewiseMap(branches, bounds, list(m.exceptional),
-                        list(m.lateral_values), dict(m.orders))

@@ -283,6 +283,7 @@ def _one_sided_convergence(m, p0, sgn, ell, rounds=40):
 # periodic points of the full map
 
 _CYL_CAP = 10_000_000
+_DEDUP_TOL = 1e-9       # periodic points closer than this are one point
 
 
 def _compose(m, x, n):
@@ -323,7 +324,7 @@ def _nudged(u, v):
     return u + d, v - d
 
 
-def find_periodic_points(m, period_max, tol=1e-9):
+def find_periodic_points(m, period_max):
     """Periodic points up to period_max via monotone-piece enumeration of
     the iterates: within each maximal interval on which f^n is a smooth
     composition, scan f^n(x) - x for sign changes and bisect."""
@@ -332,13 +333,12 @@ def find_periodic_points(m, period_max, tol=1e-9):
     lo, hi = m.ambient
     results = []
     xs = []             # recorded x, sorted
-    dedup = max(tol, 1e-9)
 
     def known(x):
         # rounded |x - r| never shrinks away from x, so the nearest recorded
         # point on either side decides
         i = bisect_left(xs, x)
-        return any(abs(x - r) <= dedup for r in xs[max(i - 1, 0):i + 1])
+        return any(abs(x - r) <= _DEDUP_TOL for r in xs[max(i - 1, 0):i + 1])
 
     def minimal_period(x, n):
         y = x

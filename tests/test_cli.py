@@ -1,5 +1,6 @@
 """CLI, canonical-JSON, and SVG plumbing tests."""
 
+import ast
 import json
 import math
 import os
@@ -208,14 +209,17 @@ def test_exit_code_config_errors(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["plot", "--map", mp, "--x0", "7", "--out", str(tmp_path)]) == 2
     # invalid branch definitions: a tiling gap, an expression syntax error,
-    # a branch whose image leaves the ambient interval, and a derivative
-    # that is singular at a validation grid point
+    # a branch whose image leaves the ambient interval, and a first and a
+    # second derivative that are singular at a validation grid point
     for name, branches in (
             ("gap.json", [((0.0, 0.4), "2*x"), ((0.5, 1.0), "2 - 2*x")]),
             ("syntax.json", [((0.0, 0.5), "2*x +"), ((0.5, 1.0), "2 - 2*x")]),
             ("image.json", [((0.0, 0.5), "3*x"), ((0.5, 1.0), "2 - 2*x")]),
             ("singular.json",
-             [((0.0, 1.0), "0.25 + 0.5*abs(x - 0.501953125)")])):
+             [((0.0, 1.0), "0.25 + 0.5*abs(x - 0.501953125)")]),
+            ("singular_d2.json",
+             [((0.0, 1.0),
+               "0.25 + 0.5*x + 0.1*spow(x - 0.501953125, 1.5)")])):
         spec = MapSpec(tuple(BranchSpec(d, e) for d, e in branches))
         assert main(["analyze", "--map", _map_file(tmp_path, spec, name),
                      "--out", str(tmp_path)]) == 2
@@ -243,3 +247,24 @@ def test_module_entrypoint_runs(tmp_path):
         env=dict(os.environ, PYTHONPATH=pkg_root))
     assert proc.returncode == 0
     assert (tmp_path / "a" / "report.json").exists()
+
+
+def test_package_imports_only_stdlib():
+    # the package promises to run on the standard library alone
+    pkg_dir = os.path.dirname(intervaldyn.__file__)
+    names = sorted(n for n in os.listdir(pkg_dir) if n.endswith(".py"))
+    assert "mapcore.py" in names
+    for name in names:
+        with open(os.path.join(pkg_dir, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            for mod in mods:
+                top = mod.split(".")[0]
+                assert (top in sys.stdlib_module_names
+                        or top == "intervaldyn"), (name, mod)

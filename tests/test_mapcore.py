@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -16,10 +17,10 @@ from intervaldyn.mapcore import (
     LateralPoint,
     MapSpec,
     build_map,
-    extend_map,
     mapspec_from_dict,
     validate_nonflat,
 )
+from intervaldyn import mapcore
 import mapdefs
 
 
@@ -75,6 +76,16 @@ def test_singular_derivative_rejected():
     assert "0.501953125" in str(ei.value)
 
 
+def test_singular_second_derivative_rejected():
+    # Df = 0.5 + 0.15*|u|^0.5 is finite on the whole grid, but D2f divides
+    # by |u|^0.5 at the grid point 128.5/256
+    with pytest.raises(ZeroDerivativeError) as ei:
+        build_map(MapSpec((BranchSpec(
+            (0.0, 1.0), "0.25 + 0.5*x + 0.1*spow(x - 0.501953125, 1.5)"),)))
+    assert "second derivative" in str(ei.value)
+    assert "0.501953125" in str(ei.value)
+
+
 def test_derivative_sign_change_rejected():
     # one branch through the critical point 0.5: the grid derivative 4 - 8x
     # changes sign between the grid points 127.5/256 and 128.5/256
@@ -92,7 +103,6 @@ LADDER_MAPS = {
     "jump_contraction": mapdefs.jump_contraction,
     "plateau": mapdefs.plateau,
     "neutral": mapdefs.neutral,
-    "extended_tent": lambda: extend_map(mapdefs.tent()),
 }
 
 
@@ -111,14 +121,9 @@ def test_ladder_agrees_with_branches(name):
         for fn in (m.eval, m.step):
             with pytest.raises(ExceptionalPointError):
                 fn(c)
-    # ambient endpoints through their own branch, collar knots (cuts that
-    # are not exceptional) through the branch on their right
+    # ambient endpoints through their own branch
     lo, hi = m.ambient
     closed = [(lo, m.branches[0]), (hi, m.branches[-1])]
-    closed += [(b.lo, b) for b in m.branches[1:]
-               if b.lo not in m.exceptional]
-    if name == "extended_tent":
-        assert len(closed) >= 4          # the old ambient ends are knots
     for x, b in closed:
         assert repr(m.eval(x)) == repr(b.f(x))
         assert repr(m.step(x)) == repr((b.f(x), b.df(x)))
@@ -194,7 +199,6 @@ def test_deriv(tent, logistic4):
     assert tent.deriv(0.25) == 2.0
     assert tent.deriv(0.75) == -2.0
     assert logistic4.deriv(0.25) == 2.0  # 4 - 8x
-    assert logistic4.deriv2(0.25) == -8.0
 
 
 def test_deriv_product(tent, doubling):
@@ -240,7 +244,7 @@ def test_structural_spow_order():
 
 
 def test_validate_nonflat_tent(tent):
-    rep = validate_nonflat(tent, 256)
+    rep = validate_nonflat(tent)
     assert rep.ok
     for b in rep.branches:
         assert b["min_abs_deriv"] == pytest.approx(2.0)
@@ -251,7 +255,7 @@ def test_validate_nonflat_tent(tent):
 
 
 def test_validate_nonflat_logistic(logistic4):
-    rep = validate_nonflat(logistic4, 256)
+    rep = validate_nonflat(logistic4)
     for e in rep.exceptional:
         assert e["fitted_order"] == pytest.approx(2.0, abs=0.05)
 
@@ -259,7 +263,7 @@ def test_validate_nonflat_logistic(logistic4):
 def test_validate_nonflat_spow_branch():
     m = build_map(MapSpec((BranchSpec((0.0, 0.5), "2*x"),
                            BranchSpec((0.5, 1.0), "0.5 + spow(x-0.5, 2)"))))
-    rep = validate_nonflat(m, 256)
+    rep = validate_nonflat(m)
     right = [e for e in rep.exceptional if e["side"] == "right"][0]
     assert right["fitted_order"] == pytest.approx(2.0, abs=0.05)
 
@@ -267,11 +271,84 @@ def test_validate_nonflat_spow_branch():
 def test_validate_nonflat_flags_flat_point():
     m = build_map(MapSpec((BranchSpec((0.0, 0.5), "2*x"),
                            BranchSpec((0.5, 1.0), "0.5 + 0.4*sqrt(x-0.5)"))))
-    rep = validate_nonflat(m, 256)
+    rep = validate_nonflat(m)
     right = [e for e in rep.exceptional if e["side"] == "right"][0]
     assert right["fitted_order"] == pytest.approx(0.5, abs=0.05)
     assert right["flat_violation"]
     assert not rep.ok
+
+
+def _reference_validate_nonflat(m, grid_size=256):
+    """validate_nonflat as it was before build_map recorded the grid survey:
+    its own midpoint-grid walk over every branch."""
+    rep = mapcore.ValidationReport()
+    for b in m.branches:
+        min_d = float("inf")
+        nonlin = 0.0
+        for k in range(grid_size):
+            x = b.lo + (k + 0.5) * (b.hi - b.lo) / grid_size
+            d = abs(b.df(x))
+            min_d = min(min_d, d)
+            if d > 0.0:
+                nonlin = max(nonlin, abs(b.ddf(x)) / d)
+        rep.branches.append({
+            "domain": [b.lo, b.hi],
+            "expr": b.source,
+            "min_abs_deriv": min_d,
+            "nonlinearity": nonlin,
+        })
+        if min_d == 0.0:
+            rep.flags.append(
+                "zero derivative inside branch %r" % (b.source,))
+    for c in m.exceptional:
+        i = bisect_right(m._cuts, c) - 1
+        for side, br, sgn in (("left", m.branches[i - 1], -1.0),
+                              ("right", m.branches[i], 1.0)):
+            fit = mapcore._fitted_order(br, c, sgn)
+            declared = m.orders.get((c, side))
+            entry = {
+                "point": c,
+                "side": side,
+                "fitted_order": fit,
+                "declared_order": declared,
+                "flat_violation": bool(fit is not None and fit < 0.95),
+            }
+            rep.exceptional.append(entry)
+            if entry["flat_violation"]:
+                rep.flags.append(
+                    "flat point at %r (%s side): fitted order %.3f < 1"
+                    % (c, side, fit))
+    return rep
+
+
+def _reference_nonlinearity(m, grid_size=256):
+    """nonlinearity() as it was before the grid survey: one more walk."""
+    worst = 0.0
+    for b in m.branches:
+        for k in range(grid_size):
+            x = b.lo + (k + 0.5) * (b.hi - b.lo) / grid_size
+            d = b.df(x)
+            if d != 0.0:
+                worst = max(worst, abs(b.ddf(x)) / abs(d))
+    return worst
+
+
+SURVEY_MAPS = dict(
+    LADDER_MAPS,
+    flat_sqrt=lambda: build_map(MapSpec((
+        BranchSpec((0.0, 0.5), "2*x"),
+        BranchSpec((0.5, 1.0), "0.5 + 0.4*sqrt(x-0.5)")))),
+    bump=lambda: build_map(MapSpec((BranchSpec(
+        (0.0, 1.0), "0.5*x + 0.25 + 0.002/(1 + ((x - 0.5)/0.0005)^2)"),))),
+)
+
+
+@pytest.mark.parametrize("name", sorted(SURVEY_MAPS))
+def test_grid_survey_matches_reference(name):
+    m = SURVEY_MAPS[name]()
+    assert (repr(validate_nonflat(m).to_dict())
+            == repr(_reference_validate_nonflat(m).to_dict()))
+    assert repr(m.nonlinearity()) == repr(_reference_nonlinearity(m))
 
 
 def test_mapspec_from_dict_roundtrip():
@@ -280,76 +357,3 @@ def test_mapspec_from_dict_roundtrip():
                         {"domain": [0.5, 1.0], "expr": "2 - 2*x"}]}
     m = build_map(mapspec_from_dict(doc))
     assert m.eval(0.25) == 0.5
-
-
-# -- extension ---------------------------------------------------------------
-
-def test_extend_corners(tent, doubling):
-    for m in (tent, doubling):
-        ext = extend_map(m)
-        assert ext.ambient == (-1.0, 2.0)
-        assert ext.eval(-1.0) in (-1.0, 2.0)
-        assert ext.eval(2.0) in (-1.0, 2.0)
-        assert ext.exceptional == m.exceptional
-
-
-def test_extend_fixes_interior(tent):
-    ext = extend_map(tent)
-    for k in range(1, 1000):
-        x = k / 1000.0
-        if x in (0.5,):
-            continue
-        assert ext.eval(x) == tent.eval(x)
-
-
-def test_extend_is_c1_at_seams(logistic4):
-    ext = extend_map(logistic4)
-    for x in (0.0, 1.0):
-        left = ext.eval_lateral(LateralPoint(x, "left"))
-        right = ext.eval_lateral(LateralPoint(x, "right"))
-        assert left == pytest.approx(right, abs=1e-12)
-        dl = ext.deriv_lateral(LateralPoint(x, "left"))
-        dr = ext.deriv_lateral(LateralPoint(x, "right"))
-        assert dl == pytest.approx(dr, rel=1e-9)
-
-
-def test_extend_collar_dichotomy(doubling):
-    ext = extend_map(doubling)
-    x = 1.5
-    entered = False
-    for _ in range(100):
-        x = ext.eval(x)
-        if 0.0 <= x <= 1.0:
-            entered = True
-            break
-    assert entered or abs(x - 2.0) < 1e-3 or abs(x + 1.0) < 1e-3
-
-
-def test_extend_collar_dichotomy_left(tent):
-    ext = extend_map(tent)
-    x = -0.5
-    entered = False
-    for _ in range(200):
-        x = ext.eval(x)
-        if 0.0 <= x <= 1.0:
-            entered = True
-            break
-    assert entered or abs(x + 1.0) < 1e-3
-
-
-def test_extend_steep_boundary(neutral_map):
-    # boundary slope 4096 forces the knot-insertion fallback
-    ext = extend_map(neutral_map)
-    assert ext.eval(-1.0) == -1.0
-    assert ext.eval(2.0) == 2.0
-    assert ext.deriv_lateral(LateralPoint(0.0, "left")) == pytest.approx(
-        4096.0, rel=1e-9)
-    # collar must be strictly monotone (a local diffeomorphism)
-    for k in range(1, 400):
-        x = -1.0 + k / 400.0
-        assert ext.deriv(x) > 0.0
-
-
-def test_extend_neutral_orders_preserved(neutral_map):
-    ext = extend_map(neutral_map)
-    assert ext.orders == neutral_map.orders
