@@ -124,10 +124,34 @@ def recurrence_check(m, v, length, eps):
     return count >= 3
 
 
-def match_omega(cover, m, cfg):
+def _critical_cover(m, laterals, cfg, memo):
+    """Union of the critical-orbit covers of the lateral points in the
+    tuple `laterals`, or None when all of those orbits degenerate.  `memo`
+    maps tuples of lateral points to their unions, so each orbit is walked
+    once per memo."""
+    if laterals not in memo:
+        union = None
+        for lp in laterals:
+            if (lp,) not in memo:
+                try:
+                    start = m.eval_lateral(lp)
+                    memo[(lp,)] = omega_cover(m, start, 0, cfg.length,
+                                              cfg.resolution)
+                except IntervalDynError:
+                    memo[(lp,)] = None
+            oc = memo[(lp,)]
+            if oc is not None:
+                union = oc if union is None else cover_union(union, oc)
+        memo[laterals] = union
+    return memo[laterals]
+
+
+def match_omega(cover, m, cfg, critical_covers=None):
     """Try to express `cover` as the union of critical-orbit covers of the
     lateral values whose critical point meets the cover.  Returns
-    (matched lateral points or None, diagnostics)."""
+    (matched lateral points or None, diagnostics).  Callers matching many
+    covers against one map pass one `critical_covers` dict to every call
+    (see `_critical_cover`)."""
     if not cover.cells:
         raise ConfigError("cover is empty")
     res = cfg.resolution
@@ -138,14 +162,8 @@ def match_omega(cover, m, cfg):
             vset.append(lp)
     if not vset:
         return None, {"reason": "no critical point meets the cover"}
-    union = None
-    for lp in vset:
-        try:
-            start = m.eval_lateral(lp)
-            oc = omega_cover(m, start, 0, cfg.length, res)
-        except IntervalDynError:
-            continue
-        union = oc if union is None else cover_union(union, oc)
+    union = _critical_cover(m, tuple(vset), cfg,
+                            {} if critical_covers is None else critical_covers)
     if union is None:
         return None, {"reason": "all critical orbits degenerate"}
     d = cover_symdiff_length(union, cover)
@@ -255,18 +273,34 @@ def _flag_continuum(periodic_reports, resolution):
 
 
 def _join_cover(clusters, rec, tol):
+    # The float test decides every join.  The bin masks only skip clusters
+    # it would reject: bins the masks tell apart are distinct, and each is
+    # one resolution wide up to rounding, except the last one, cut off at
+    # the ambient end; so tol / resolution + 3 of them make a symmetric
+    # difference longer than tol.
+    gate = tol / rec.cover.resolution + 3
     for cl in clusters:
+        if (cl["mask"] ^ rec.mask).bit_count() >= gate:
+            continue
         if cover_symdiff_length(cl["union"], rec.cover) <= tol:
             cl["indices"].append(rec.index)
             cl["union"] = cover_union(cl["union"], rec.cover)
+            cl["mask"] |= rec.mask
             return
-    clusters.append({"union": rec.cover, "indices": [rec.index]})
+    clusters.append({"union": rec.cover, "mask": rec.mask,
+                     "indices": [rec.index]})
 
 
 def classify_attractors(m, cfg=None):
     cfg = cfg or ClassifyConfig()
     if cfg.samples < 100:
         raise ConfigError("need at least 100 samples")
+    if not (math.isfinite(cfg.resolution) and cfg.resolution >= 1e-6):
+        raise ConfigError("resolution must be finite and >= 1e-6")
+    if cfg.burn_in < 0:
+        raise ConfigError("burn_in must be >= 0")
+    if cfg.length < 1:
+        raise ConfigError("length must be >= 1")
     records = basin_sample(m, cfg.samples, cfg.seed,
                            BasinConfig(burn_in=cfg.burn_in, length=cfg.length,
                                        resolution=cfg.resolution))
@@ -298,6 +332,9 @@ def classify_attractors(m, cfg=None):
         ))
     _flag_continuum(reports, cfg.resolution)
 
+    # critical-orbit work depends on the lateral point only: once per call
+    critical_covers = {}
+    recurrent_by_lateral = {}
     rec_length = max(10_000, cfg.length)
     for cl in cover_clusters:
         cover = cl["union"]
@@ -309,15 +346,16 @@ def classify_attractors(m, cfg=None):
                 kind="interval_cycle", cover=cover, basin_fraction=frac,
                 sample_indices=cl["indices"], intervals=cells, period=period))
             continue
-        matched, diag = match_omega(cover, m, cfg)
+        matched, diag = match_omega(cover, m, cfg, critical_covers)
         if matched is not None:
-            recurrent = []
             for lp in matched:
-                try:
-                    recurrent.append(
-                        recurrence_check(m, lp, rec_length, cfg.resolution))
-                except DegenerateOrbitError:
-                    recurrent.append(False)
+                if lp not in recurrent_by_lateral:
+                    try:
+                        recurrent_by_lateral[lp] = recurrence_check(
+                            m, lp, rec_length, cfg.resolution)
+                    except DegenerateOrbitError:
+                        recurrent_by_lateral[lp] = False
+            recurrent = [recurrent_by_lateral[lp] for lp in matched]
             if all(recurrent):
                 reports.append(AttractorReport(
                     kind="cantor", cover=cover, basin_fraction=frac,

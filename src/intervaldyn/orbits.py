@@ -93,6 +93,24 @@ def _bins_to_cells(ks, lo, hi, res):
     return cells
 
 
+# a bin mask has at most 2**_MASK_LOG2 bits; finer grids share bits
+_MASK_LOG2 = 16
+
+
+def _bins_to_mask(ks, nbins):
+    """Bit k >> shift set for each bin k in ks, where shift is the least
+    that keeps bins 0 .. nbins-1 within 2**_MASK_LOG2 bits (0 for up to
+    65536 bins).  Sharing a bit only merges bins, so the popcount of the
+    XOR of two masks never exceeds the size of the two bin sets'
+    symmetric difference."""
+    shift = max(0, (nbins - 1).bit_length() - _MASK_LOG2)
+    digits = bytearray(b"0") * (((nbins - 1) >> shift) + 1)
+    for k in ks:
+        digits[k >> shift] = 49     # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
 # orbit steps per `walk` call of the binned loops, which bounds their memory
 _CHUNK = 4096
 
@@ -100,10 +118,11 @@ _CHUNK = 4096
 def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     """Walk `steps` steps from x_0 = x and bin the iterates x_burn_in ..
     x_(burn_in+length-1) at `resolution`, one chunk at a time.  Returns
-    (cells, head, hit): the merged cover cells, the first `keep` binned
-    iterates, and the index of the exceptional point the walk stopped on
-    (binned if inside the window), or None.  An iterate is binned only
-    after `walk` has stepped it, so a NaN raises OutOfRangeError first."""
+    (ks, nbins, head, hit): the visited bins of the grid of nbins bins,
+    the first `keep` binned iterates, and the index of the exceptional
+    point the walk stopped on (binned if inside the window), or None.  An
+    iterate is binned only after `walk` has stepped it, so a NaN raises
+    OutOfRangeError first."""
     lo, hi = m.ambient
     nbins = max(1, math.ceil((hi - lo) / resolution - 1e-9))
     end = burn_in + length
@@ -131,8 +150,9 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
             raw.add(int((x - lo) / resolution))
             if len(head) < keep:
                 head.append(x)
-    ks = {min(max(k, 0), nbins - 1) for k in raw}
-    return _bins_to_cells(ks, lo, hi, resolution), head, hit
+    if raw and (min(raw) < 0 or max(raw) >= nbins):
+        raw = {min(max(k, 0), nbins - 1) for k in raw}
+    return raw, nbins, head, hit
 
 
 def omega_cover(m, x, burn_in, length, resolution):
@@ -147,13 +167,14 @@ def omega_cover(m, x, burn_in, length, resolution):
         raise ConfigError("resolution < 1e-6")
     if length == 0:
         return IntervalCover(resolution, [])
-    cells, _, hit = _binned_walk(m, x, burn_in + length - 1, burn_in,
+    ks, _, _, hit = _binned_walk(m, x, burn_in + length - 1, burn_in,
                                  length, resolution)
     if hit is not None and hit < burn_in:
         raise DegenerateOrbitError(
             "orbit hit undefined point at index %d, before the observation "
             "window at %d" % (hit, burn_in))
-    return IntervalCover(resolution, cells)
+    return IntervalCover(resolution,
+                         _bins_to_cells(ks, *m.ambient, resolution))
 
 
 def cover_total_length(cover):
@@ -457,6 +478,7 @@ class RawPointRecord:
     cover: object            # IntervalCover or None if orbit died early
     periodic: object         # {"period": p, "points": [...]} or None
     terminated_at: object    # step index of an exact undefined-point hit
+    mask: object = None      # `_bins_to_mask` of the cover's bins, or None
 
 
 def basin_sample(m, sample_count, seed, cfg=None):
@@ -475,12 +497,13 @@ def basin_sample(m, sample_count, seed, cfg=None):
 
 
 def _sample_one(m, idx, x0, cfg):
-    cells, head, hit = _binned_walk(
+    ks, nbins, head, hit = _binned_walk(
         m, x0, cfg.burn_in + cfg.length, cfg.burn_in, cfg.length,
         cfg.resolution, cfg.periodic_scan + 1)
     if hit is not None and hit < cfg.burn_in:
         return RawPointRecord(idx, x0, None, None, hit)
-    cover = IntervalCover(cfg.resolution, cells)
+    cover = IntervalCover(cfg.resolution,
+                          _bins_to_cells(ks, *m.ambient, cfg.resolution))
 
     periodic = None
     # unterminated, so the window holds all cfg.length iterates
@@ -497,4 +520,5 @@ def _sample_one(m, idx, x0, cfg):
                                 "multiplier": mult}
                 break
 
-    return RawPointRecord(idx, x0, cover, periodic, hit)
+    return RawPointRecord(idx, x0, cover, periodic, hit,
+                          _bins_to_mask(ks, nbins))

@@ -7,10 +7,12 @@ checked against it as an independent route.
 
 import json
 import math
+import sys
 
 import pytest
 
 import mapdefs
+from intervaldyn import classify
 from intervaldyn.classify import (
     ClassifyConfig,
     classify_attractors,
@@ -19,8 +21,17 @@ from intervaldyn.classify import (
     recurrence_check,
 )
 from intervaldyn.errors import ConfigError, DegenerateOrbitError
-from intervaldyn.mapcore import LateralPoint
-from intervaldyn.orbits import BasinConfig, IntervalCover, basin_sample
+from intervaldyn.mapcore import BranchSpec, LateralPoint, MapSpec, build_map
+from intervaldyn.orbits import (
+    BasinConfig,
+    IntervalCover,
+    RawPointRecord,
+    _bins_to_cells,
+    _bins_to_mask,
+    basin_sample,
+    cover_symdiff_length,
+    cover_union,
+)
 
 
 def _hull(m, cell):
@@ -165,6 +176,120 @@ def test_determinism_and_serialization(logistic32):
 def test_samples_precondition(logistic32):
     with pytest.raises(ConfigError):
         classify_attractors(logistic32, ClassifyConfig(samples=50))
+
+
+# ---------------------------------------------------------------------------
+# cover clustering
+
+
+def _ref_join_cover(clusters, rec, tol):
+    # the float-only clustering, before the bin-mask gate
+    for cl in clusters:
+        if cover_symdiff_length(cl["union"], rec.cover) <= tol:
+            cl["indices"].append(rec.index)
+            cl["union"] = cover_union(cl["union"], rec.cover)
+            return
+    clusters.append({"union": rec.cover, "indices": [rec.index]})
+
+
+def _clusters(join, records, tol):
+    clusters = []
+    for rec in records:
+        join(clusters, rec, tol)
+    return [(cl["indices"], cl["union"].cells) for cl in clusters]
+
+
+def _two_attractor_map():
+    # two copies of logistic a=3.9, rescaled into (0, 0.5) and (0.5, 1)
+    left = "3.9*x*(1-2*x)"
+    right = "0.5 + 0.5*3.9*(2*x-1)*(2-2*x)"
+    return build_map(MapSpec((
+        BranchSpec((0.0, 0.25), left), BranchSpec((0.25, 0.5), left),
+        BranchSpec((0.5, 0.75), right), BranchSpec((0.75, 1.0), right))))
+
+
+def _synthetic_record(index, ks, ambient, res):
+    lo, hi = ambient
+    nbins = max(1, math.ceil((hi - lo) / res - 1e-9))
+    cover = IntervalCover(res, _bins_to_cells(ks, lo, hi, res))
+    return RawPointRecord(index, lo, cover, None, None,
+                          _bins_to_mask(ks, nbins))
+
+
+@pytest.mark.parametrize("name", ["logistic382", "logistic4", "tent",
+                                  "two_attractors"])
+def test_join_cover_matches_float_reference_on_samples(name):
+    m, burn_in, length = {
+        "logistic382": (mapdefs.logistic(3.82), 2000, 600),
+        "logistic4": (mapdefs.logistic(4.0), 2000, 600),
+        # binary64 tent orbits collapse onto 0.5 within ~52 steps
+        "tent": (mapdefs.tent(), 0, 40),
+        "two_attractors": (_two_attractor_map(), 2000, 600),
+    }[name]
+    records = [r for r in basin_sample(
+        m, 100, 1, BasinConfig(burn_in=burn_in, length=length,
+                               resolution=1e-3))
+        if r.cover is not None]
+    assert len(records) >= 50
+    tol = 2e-3
+    assert (_clusters(classify._join_cover, records, tol)
+            == _clusters(_ref_join_cover, records, tol))
+
+
+@pytest.mark.parametrize("ambient", [(0.0, 1.0004), (100.0, 101.0),
+                                     (0.0, 100.0004)])
+def test_join_cover_matches_float_reference_near_the_gate(ambient):
+    res, tol = 1e-3, 2e-3
+    nbins = max(1, math.ceil((ambient[1] - ambient[0]) / res - 1e-9))
+    last = nbins - 1           # 4e-4 wide when the width ends in .0004
+    base = set(range(200, 260)) | {last - 1}
+    extra = [last, 100, 101, 300, 400, 230, 240]
+    variants = [base]
+    for size in (1, 2, 3, 4):
+        for start in range(len(extra) - size + 1):
+            variants.append(base ^ set(extra[start:start + size]))
+    records = [_synthetic_record(i, ks, ambient, res)
+               for i, ks in enumerate(variants)]
+    # 100001 bins on (0, 100.0004): bins 2j and 2j + 1 share bit j
+    assert records[0].mask.bit_length() <= 2 ** 16
+    for a in records:
+        for b in records:
+            assert (_clusters(classify._join_cover, [a, b], tol)
+                    == _clusters(_ref_join_cover, [a, b], tol))
+    for order in (records, records[::-1]):
+        assert (_clusters(classify._join_cover, order, tol)
+                == _clusters(_ref_join_cover, order, tol))
+    # two bins apart, a full one and the 4e-4 wide last one: the float test
+    # joins them, so a gate without its slack of 3 fails the loops above
+    if ambient == (0.0, 1.0004):
+        pair = [records[0], records[variants.index(base | {last, 100})]]
+        assert len(_clusters(_ref_join_cover, pair, tol)) == 1
+
+
+def test_classify_work_is_not_quadratic(monkeypatch):
+    # the bin-mask gate leaves few float comparisons, and each lateral's
+    # critical orbit is walked once per call (at the parent: 4950
+    # comparisons in _join_cover and 142 omega covers on this run)
+    counts = {"join_symdiff": 0, "omega_cover": 0}
+    symdiff, omega = classify.cover_symdiff_length, classify.omega_cover
+
+    def counted_symdiff(a, b):
+        if sys._getframe(1).f_code.co_name == "_join_cover":
+            counts["join_symdiff"] += 1
+        return symdiff(a, b)
+
+    def counted_omega(*args):
+        counts["omega_cover"] += 1
+        return omega(*args)
+
+    monkeypatch.setattr(classify, "cover_symdiff_length", counted_symdiff)
+    monkeypatch.setattr(classify, "omega_cover", counted_omega)
+    m = mapdefs.logistic(3.82)
+    res = classify_attractors(m, ClassifyConfig(samples=100, seed=1,
+                                                length=600))
+    assert len(res.reports) == 100     # one unresolved report per sample
+    assert 1 <= counts["omega_cover"] <= len(m.lateral_values)
+    assert counts["join_symdiff"] < 100
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,14 @@ def test_exit_code_config_errors(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["classify", "--map", mp, "--samples", "50",
                  "--out", str(tmp_path)]) == 2
+    # classify settings are checked before any sampling
+    for flag, value in (("--resolution", "0"), ("--resolution", "-0.001"),
+                        ("--resolution", "1e-7"), ("--resolution", "nan"),
+                        ("--resolution", "inf"), ("--burn-in", "-5"),
+                        ("--length", "0")):
+        assert main(["classify", "--map", mp, flag, value,
+                     "--out", str(tmp_path / "cls")]) == 2, (flag, value)
+    assert not (tmp_path / "cls" / "report.json").exists()
     assert main(["mane", "--map", mp, "--avoid", "0.6,0.7",
                  "--out", str(tmp_path)]) == 2
     assert main(["plot", "--map", mp, "--x0", "7", "--out", str(tmp_path)]) == 2

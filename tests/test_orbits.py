@@ -279,6 +279,8 @@ def _ref_sample_one(m, idx, x0, cfg):
             terminated = cfg.burn_in + i
             break
     cover = IntervalCover(res, orbits._bins_to_cells(ks, lo, hi, res))
+    # one bit per bin: the grids here have fewer than 2**16 bins
+    mask = sum(1 << k for k in ks)
     periodic = None
     if terminated is None and len(tail) > 1:
         for p in range(1, min(cfg.periodic_scan, len(tail) - 1) + 1):
@@ -292,7 +294,7 @@ def _ref_sample_one(m, idx, x0, cfg):
                     periodic = {"period": p, "points": tail[:p],
                                 "multiplier": mult}
                 break
-    return RawPointRecord(idx, x0, cover, periodic, terminated)
+    return RawPointRecord(idx, x0, cover, periodic, terminated, mask)
 
 
 def _outcome(fn, *args):
@@ -319,8 +321,9 @@ def test_walk_loops_match_per_step_reference(name, chunk, monkeypatch):
     rng = SplitMix64(len(name))
     length = 3 * chunk + 7
     # the dyadic starts collapse onto 0.5 on tent and doubling: before the
-    # window, on its first and last iterates, and on the one just past it
-    starts = [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.375, 0.3125]
+    # window, on its first and last iterates, and on the one just past it;
+    # the ambient end 1.0 falls one past the last bin and is clamped
+    starts = [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.375, 0.3125, 1.0]
     cases = [(b, n) for b in (0, 1, 2, 3, 60) for n in (0, 1, 2, 3, length)]
     cases += [(chunk, 3), (2 * chunk + 1, 2), (chunk - 1, length)]
     for x0 in starts:
