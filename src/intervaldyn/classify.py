@@ -17,6 +17,7 @@ from .orbits import (
     BasinConfig,
     IntervalCover,
     basin_sample,
+    check_resolution,
     cover_symdiff_length,
     cover_union,
     omega_cover,
@@ -295,8 +296,7 @@ def classify_attractors(m, cfg=None):
     cfg = cfg or ClassifyConfig()
     if cfg.samples < 100:
         raise ConfigError("need at least 100 samples")
-    if not (math.isfinite(cfg.resolution) and cfg.resolution >= 1e-6):
-        raise ConfigError("resolution must be finite and >= 1e-6")
+    check_resolution(cfg.resolution)
     if cfg.burn_in < 0:
         raise ConfigError("burn_in must be >= 0")
     if cfg.length < 1:
@@ -403,8 +403,7 @@ def critical_order(m, horizon, resolution):
     horizon = int(horizon)
     if horizon < 10_000:
         raise ConfigError("horizon must be >= 1e4")
-    if resolution <= 0:
-        raise ConfigError("resolution must be positive")
+    check_resolution(resolution)
     members = list(m.lateral_values)
     covers = []
     for _lp, val in members:

@@ -94,9 +94,11 @@ class InducedMap:
         b = self.branch_at(x)
         if b is None:
             raise ConfigError("point %r lies in no discovered branch" % (x,))
-        for _ in range(b.time):
-            x = self.map.eval(x)
-        return x
+        y = self.map.compose(x, b.time)
+        if y is None:
+            ys = self.map.walk(x, b.time)
+            raise ExceptionalPointError(ys[-1] if ys else x)
+        return y
 
     def deriv_abs(self, x):
         b = self.branch_at(x)
@@ -159,15 +161,16 @@ def _safe_eval(m, x, t, span):
     """f^t(x) with one inward-nudge retry if an iterate lands exactly on an
     exceptional point or outside the ambient interval."""
     try:
-        ys = m.walk(x, t)
+        y = m.compose(x, t)
     except IntervalDynError:
-        ys = None
-    if ys is None or len(ys) < t:
+        y = None
+    if y is None:
         x += span * 1e-9
-        ys = m.walk(x, t)
-        if len(ys) < t:
+        y = m.compose(x, t)
+        if y is None:
+            ys = m.walk(x, t)
             raise ExceptionalPointError(ys[-1] if ys else x)
-    return ys[-1] if t else x
+    return y
 
 
 def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
@@ -557,16 +560,11 @@ def _induced_step(m, x, time):
     """One application of an induced branch with the given return time:
     (f^time(x), log |Df^time(x)|), or None if the orbit hits an
     exceptional point or a zero derivative on the way."""
-    logd = 0.0
     try:
-        for _ in range(time):
-            x, d = m.step(x)
-            if d == 0.0:
-                return None
-            logd += math.log(abs(d))
+        y, logd, _ = m.compose_deriv(x, time)
     except IntervalDynError:
         return None
-    return x, logd
+    return y, logd
 
 
 def _flank_stats(ind, flank):
@@ -780,6 +778,13 @@ def refine_partition(ind, n):
     if count ** max(n, 1) > 1_000_000:
         raise BranchExplosionError(
             "branch_count^n = %d^%d exceeds 1e6" % (count, n))
+    pulls = {}      # (branch index, value) -> pulled-back domain point
+
+    def pull(i, v):
+        if (i, v) not in pulls:
+            pulls[i, v] = _branch_pull(ind, ind.branches[i], v)[0]
+        return pulls[i, v]
+
     level = [(br.lo, br.hi, (i,)) for i, br in enumerate(ind.branches)]
     for _ in range(n):
         nxt = []
@@ -789,8 +794,8 @@ def refine_partition(ind, n):
                 ov_hi = min(c_hi, br.img_hi)
                 if ov_hi - ov_lo <= _SLIVER:
                     continue
-                u0, _ = _branch_pull(ind, br, ov_lo)
-                u1, _ = _branch_pull(ind, br, ov_hi)
+                u0 = pull(i, ov_lo)
+                u1 = pull(i, ov_hi)
                 d_lo, d_hi = (u0, u1) if u0 <= u1 else (u1, u0)
                 if d_hi - d_lo <= _SLIVER:
                     continue

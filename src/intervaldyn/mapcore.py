@@ -18,13 +18,18 @@ event that orbit code reports instead of fudging.
 
 Stepping has one path.  Each map compiles its branch lookup once into a
 straight-line comparison ladder over the cuts, with the branch formulas
-inlined, and emits it in three shapes: `PiecewiseMap.eval` returns f(x),
-`PiecewiseMap.step` returns (f(x), Df(x)), and `PiecewiseMap.walk` returns
-the iterates x_1 .. x_n from one compiled loop.  `eval` and `step` raise
-`ExceptionalPointError` on an exceptional hit; `walk` stops short instead.
-Loops that only compose f (basin sampling, omega covers, f^n in the
-periodic-point search) run on `walk`; loops that need Df or stop on a
-condition of their own run on `eval` and `step`.
+inlined, and emits it in five shapes: `PiecewiseMap.eval` returns f(x),
+`PiecewiseMap.step` returns (f(x), Df(x)), `PiecewiseMap.walk` returns the
+iterates x_1 .. x_n from one compiled loop, `PiecewiseMap.compose` returns
+f^n(x) alone, and `PiecewiseMap.compose_deriv` returns f^n(x) with the log
+and sign of D(f^n)(x).  `eval` and `step` raise `ExceptionalPointError` on
+an exceptional hit; `walk` stops short, `compose` returns None and
+`compose_deriv` raises `OrbitHitsExceptionalError` instead.  Basin sampling
+and omega covers run on `walk`; f^n in the periodic-point search and the
+pull-backs of cylinder refinement, and the induced-map evaluation, run on
+`compose`; `deriv_product` and every induced-branch step that needs its
+derivative run on `compose_deriv`; loops that stop on a condition of their
+own run on `eval` and `step`.
 """
 
 import math
@@ -122,20 +127,28 @@ def _midgrid(a, b, n):
 
 
 def _compile_ladders(branches, ambient, exceptional):
-    """Compile the branch lookup and the branch formulas together into
-    `f(x)`, `step(x) = (f(x), Df(x))` and `walk(x, n)`, the list of
-    iterates x_1 .. x_n.  One arm per branch, shared by the three shapes:
-    one comparison per cut, where every interior cut is exceptional and
-    open on both sides and the ambient ends are closed.  Every other x (NaN
-    too) falls through to one raise; `walk` instead returns early, shorter
-    than n, when the point it is about to step is exceptional.  The
-    formulas are the `expr` codegen source of the branch closures, so
-    values agree with them bit for bit."""
+    """Compile the branch lookup and the branch formulas together into five
+    shapes: `f(x)`; `step(x) = (f(x), Df(x))`; `walk(x, n)`, the list of
+    iterates x_1 .. x_n; `compose(x, n) = f^n(x)`; and
+    `compose_deriv(x, n) = (f^n(x), sum of log|Df|, product of the signs
+    of Df)`.  One arm per branch, shared by the five shapes: one comparison
+    per cut, where every interior cut is exceptional and open on both sides
+    and the ambient ends are closed.  Every other x (NaN too) falls through
+    to one raise.  At an exceptional point `walk` instead returns early,
+    shorter than n, `compose` returns None, and `compose_deriv` raises
+    `OrbitHitsExceptionalError` with the step index.  `step` and
+    `compose_deriv` evaluate Df before f, and `compose_deriv` raises
+    `ZeroDerivativeError` after both.  The formulas are the `expr` codegen
+    source of the branch closures, so values agree with them bit for
+    bit."""
     hi = ambient[1]
     exc = frozenset(exceptional)
 
     def miss(x):
         return ExceptionalPointError(x) if x in exc else OutOfRangeError(x)
+
+    def zero(x):
+        return ZeroDerivativeError("derivative vanishes at x=%r" % (x,))
 
     arms = []   # (upper test, lower test, f source, Df source)
     for i, b in enumerate(branches):
@@ -150,34 +163,43 @@ def _compile_ladders(branches, ambient, exceptional):
         src = []
         for i, (upper, lower, f, df) in enumerate(arms):
             src += [pad + "%s %s:" % ("elif" if i else "if", upper),
-                    pad + "    if %s:" % lower,
-                    pad + "        " + body.format(f=f, df=df)]
+                    pad + "    if %s:" % lower]
+            src += [pad + "        " + line
+                    for line in body.format(f=f, df=df).split("\n")]
         return src
 
-    # Df before f: where both formulas raise, step raises as `deriv` does
+    def loop(head, body, hit, tail):
+        return (head + ["    for i in range(n):"] + ladder(body, "        ")
+                + ["        if x in _exc:", "            " + hit,
+                   "        raise _miss(x)", "    " + tail])
+
     src = (["def f(x):"] + ladder("return {f}", "    ")
            + ["    raise _miss(x)", "def step(x):"]
            + ladder("d = {df}; return {f}, d", "    ")
-           + ["    raise _miss(x)",
-              "def walk(x, n):",
-              "    out = []",
-              "    put = out.append",
-              "    for _ in range(n):"]
-           + ladder("x = {f}; put(x); continue", "        ")
-           + ["        if x in _exc:",
-              "            return out",
-              "        raise _miss(x)",
-              "    return out"])
-    ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss, "_exc": exc}
+           + ["    raise _miss(x)"]
+           + loop(["def walk(x, n):", "    out = []", "    put = out.append"],
+                  "x = {f}; put(x); continue", "return out", "return out")
+           + loop(["def compose(x, n):"], "x = {f}; continue",
+                  "return None", "return x")
+           + loop(["def compose_deriv(x, n):", "    s = 0.0", "    sg = 1"],
+                  "d = {df}; y = {f}\n"
+                  "if d == 0.0: raise _zero(x)\n"
+                  "s += _m.log(abs(d))\n"
+                  "if d < 0.0: sg = -sg\n"
+                  "x = y; continue",
+                  "raise _hit(i, x)", "return x, s, sg"))
+    ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss, "_zero": zero,
+          "_hit": OrbitHitsExceptionalError, "_exc": exc}
     exec("\n".join(src), ns)
-    return ns["f"], ns["step"], ns["walk"]
+    return tuple(ns[k] for k in ("f", "step", "walk", "compose",
+                                 "compose_deriv"))
 
 
 class PiecewiseMap:
     """Compiled piecewise map, made by `build_map` from branches sorted by
     domain.  `exceptional` is the set of undefined points: every interior
-    branch cut.  `eval`, `step` and `walk` are the stepping path (see the
-    module docstring)."""
+    branch cut.  `eval`, `step`, `walk`, `compose` and `compose_deriv` are
+    the stepping path (see the module docstring)."""
 
     def __init__(self, branches, ambient, lateral_values, orders):
         self.branches = branches
@@ -186,7 +208,8 @@ class PiecewiseMap:
         self.lateral_values = lateral_values
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
-        self._eval, self._step, self._walk = _compile_ladders(
+        (self._eval, self._step, self._walk, self._compose,
+         self._compose_deriv) = _compile_ladders(
             self.branches, ambient, self.exceptional)
 
     # -- lookup ------------------------------------------------------------
@@ -224,6 +247,19 @@ class PiecewiseMap:
         raised at.  Raises OutOfRangeError where eval does."""
         return self._walk(x, n)
 
+    def compose(self, x, n):
+        """f^n(x) from one compiled loop, without the list of `walk`; None
+        where `walk` would stop short.  Raises OutOfRangeError where eval
+        does."""
+        return self._compose(x, n)
+
+    def compose_deriv(self, x, n):
+        """(f^n(x), sum of log|Df| along the n steps, product of the signs
+        of Df) from one compiled loop.  Raises OrbitHitsExceptionalError(i,
+        x) when step i starts on the exceptional point x, and
+        ZeroDerivativeError where Df vanishes."""
+        return self._compose_deriv(x, n)
+
     def deriv(self, x):
         return self.branch_at(x).df(x)
 
@@ -238,21 +274,7 @@ class PiecewiseMap:
     def deriv_product(self, x, n):
         """(sum of log|Df| along n steps, product of derivative signs).
         Log space keeps 1e6-step products finite."""
-        log_abs = 0.0
-        sign = 1
-        for i in range(n):
-            try:
-                y, d = self._step(x)
-            except ExceptionalPointError:
-                raise OrbitHitsExceptionalError(i, x) from None
-            if d == 0.0:
-                raise ZeroDerivativeError(
-                    "derivative vanishes at x=%r" % (x,))
-            log_abs += math.log(abs(d))
-            if d < 0.0:
-                sign = -sign
-            x = y
-        return log_abs, sign
+        return self._compose_deriv(x, n)[1:]
 
     def nonlinearity(self):
         """sup |D2f| / |Df| over the validation grids of all branches; the

@@ -27,7 +27,7 @@ from .rng import SplitMix64
 __all__ = [
     "OrbitSegment", "IntervalCover", "PeriodicLike", "RawPointRecord",
     "BasinConfig", "orbit", "omega_cover", "detect_periodic_like",
-    "find_periodic_points", "basin_sample",
+    "find_periodic_points", "basin_sample", "check_resolution",
     "cover_total_length", "cover_union", "cover_symdiff_length",
 ]
 
@@ -155,6 +155,13 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     return raw, nbins, head, hit
 
 
+def check_resolution(resolution):
+    """The one cover resolution guard (omega_cover, basin_sample and the
+    classify entry points): finite and >= 1e-6, so NaN fails too."""
+    if not 1e-6 <= resolution < math.inf:
+        raise ConfigError("resolution must be finite and >= 1e-6")
+
+
 def omega_cover(m, x, burn_in, length, resolution):
     """Visit-histogram surrogate for the limit set of the orbit of x:
     resolution-sized bins visited by iterates burn_in .. burn_in+length-1,
@@ -163,8 +170,7 @@ def omega_cover(m, x, burn_in, length, resolution):
     orbit degenerate."""
     if burn_in + length > 10_000_000:
         raise ConfigError("burn_in + length > 1e7")
-    if resolution < 1e-6:
-        raise ConfigError("resolution < 1e-6")
+    check_resolution(resolution)
     if length == 0:
         return IntervalCover(resolution, [])
     ks, _, _, hit = _binned_walk(m, x, burn_in + length - 1, burn_in,
@@ -307,13 +313,6 @@ _CYL_CAP = 10_000_000
 _DEDUP_TOL = 1e-9       # periodic points closer than this are one point
 
 
-def _compose(m, x, n):
-    """f^n(x) for n >= 1, or None when the orbit reaches the exceptional
-    set first."""
-    ys = m.walk(x, n)
-    return ys[-1] if len(ys) == n else None
-
-
 def _preimage_in(m, n, u, v, target, gu, gv):
     """Bisect the monotone f^n on (u, v) for f^n(x) = target; gu, gv are
     f^n at the (nudged) ends."""
@@ -323,13 +322,13 @@ def _preimage_in(m, n, u, v, target, gu, gv):
         mid = 0.5 * (a + b)
         if not (a < mid < b):
             break
-        gm = _compose(m, mid, n)
+        gm = m.compose(mid, n)
         if gm is None:
             # exact hit of the undefined set mid-composition; nudge once
             mid += (b - a) * 1e-3
             if not (a < mid < b):
                 break
-            gm = _compose(m, mid, n)
+            gm = m.compose(mid, n)
             if gm is None:
                 break
         if (gm < target) == increasing:
@@ -405,7 +404,7 @@ def find_periodic_points(m, period_max):
             grid = [nu] + [u + (v - u) * (j + 0.5) / 18.0
                            for j in range(18)] + [nv]
             # f^n on the grid, None after an exact hit
-            imgs = [_compose(m, y, n) for y in grid]
+            imgs = [m.compose(y, n) for y in grid]
             vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
             for (x0, g0), (x1, g1) in zip(zip(grid, vals),
                                           zip(grid[1:], vals[1:])):
@@ -421,7 +420,7 @@ def find_periodic_points(m, period_max):
                         mid = 0.5 * (a + b)
                         if mid <= a or mid >= b:
                             break
-                        gm = _compose(m, mid, n)
+                        gm = m.compose(mid, n)
                         if gm is None:
                             break
                         gm -= mid
@@ -487,6 +486,7 @@ def basin_sample(m, sample_count, seed, cfg=None):
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
     cfg = cfg or BasinConfig()
+    check_resolution(cfg.resolution)
     lo, hi = m.ambient
     gen = SplitMix64(seed)
     records = []

@@ -12,6 +12,7 @@ import pytest
 
 import mapdefs
 import intervaldyn
+import refloops
 from intervaldyn import serialize
 from intervaldyn.cli import main
 from intervaldyn.errors import ConfigError
@@ -192,6 +193,35 @@ def test_plot_truncates_on_exceptional_hit(tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+def test_artifacts_byte_identical_with_reference_loops(tmp_path,
+                                                       monkeypatch):
+    # the compiled compose shapes and the pull-back memo change no output
+    # byte against the per-step loops they replaced
+    mp = _map_file(tmp_path, mapdefs.logistic_spec(4.0), "l4.json")
+    runs = (["return-map", "--j", "0.25,0.75", "--t-max", "12",
+             "--refine", "1"],
+            ["analyze", "--period-max", "6"])
+
+    def artifacts(tag):
+        out = {}
+        for i, args in enumerate(runs):
+            d = tmp_path / ("%s%d" % (tag, i))
+            assert main([args[0], "--map", mp, "--out", str(d)]
+                        + args[1:]) == 0
+            for name in os.listdir(d):
+                out[i, name] = (d / name).read_bytes()
+        return out
+
+    new = artifacts("new")
+    with monkeypatch.context() as patch:
+        calls = refloops.install(patch)
+        ref = artifacts("ref")
+    assert all(calls.values()), calls
+    assert sorted(new) == sorted(ref)
+    for key in new:
+        assert new[key] == ref[key], key
 
 
 def test_exit_code_config_errors(tmp_path):

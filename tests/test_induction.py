@@ -13,6 +13,7 @@ from intervaldyn.errors import (
 from intervaldyn.orbits import omega_cover
 from intervaldyn.rng import SplitMix64
 from toymodel import entry_ladder
+import refloops
 
 HALF = Fraction(1, 2)
 
@@ -494,6 +495,26 @@ def test_refine_partition_gamma_bound(logistic4):
     assert cells
     for c in cells:
         assert 1.0 <= c.distortion <= rep.distortion_Gamma
+
+
+def test_refine_partition_pulls_each_branch_value_once(logistic4,
+                                                      monkeypatch):
+    # the nice return map of logistic a=4: 50 branches, 1952 depth-1 cells
+    ret = induction.first_return(logistic4, (0.25, 0.75), 40)
+    pulls = []
+    pull = induction._branch_pull
+
+    def counting(ind, br, target):
+        pulls.append((br, target))
+        return pull(ind, br, target)
+    monkeypatch.setattr(induction, "_branch_pull", counting)
+    cells = induction.refine_partition(ret, 1)
+    assert len(pulls) == len(set(pulls)) == 2600
+    pulls.clear()
+    want = refloops.refine_partition(ret, 1)
+    assert len(pulls) == 5000 and len(set(pulls)) == 2600
+    assert len(cells) == 1952
+    assert [repr(c) for c in cells] == [repr(c) for c in want]
 
 
 def test_refine_partition_limits(doubling):

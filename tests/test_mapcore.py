@@ -20,8 +20,9 @@ from intervaldyn.mapcore import (
     mapspec_from_dict,
     validate_nonflat,
 )
-from intervaldyn import mapcore
+from intervaldyn import induction, mapcore
 import mapdefs
+import refloops
 
 
 def lateral_dict(m):
@@ -141,6 +142,84 @@ def test_ladder_agrees_with_branches(name):
         assert m.walk(x, 0) == []
     for c in m.exceptional:
         assert m.walk(c, 3) == []
+    # compose, compose_deriv and the loops on them agree with the per-step
+    # loops they replaced, outcome for outcome: value bits, or error type,
+    # message, step index and point
+    dyadic = [lo + (hi - lo) * k / 16 for k in range(17)]
+    bad = [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+           -math.inf, math.inf, float("nan")]
+    for x in starts + dyadic + m.exceptional + bad:
+        _assert_shapes_match_reference(m, x)
+    # InducedMap.eval on induced maps whose branches are the map's own, at
+    # return times 0, 1 and 5
+    for t in (0, 1, 5):
+        ind = induction.InducedMap(
+            (lo, hi), "first_return",
+            [induction.InducedBranch(b.lo, b.hi, t, 1, lo, hi)
+             for b in m.branches], t, 1.0, [], m, (lo, hi))
+        for x in starts + dyadic + m.exceptional + bad:
+            assert (_outcome(ind.eval, x)
+                    == _outcome(refloops.induced_eval, ind, x))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as e:
+        return (type(e).__name__, str(e), getattr(e, "index", None),
+                repr(getattr(e, "point", None)))
+
+
+def _assert_shapes_match_reference(m, x):
+    assert m.compose(x, 0) is x
+    assert m.compose_deriv(x, 0) == (x, 0.0, 1)
+    assert repr(induction._safe_eval(m, x, 0, 1e-3)) == repr(x)
+    for n in (1, 2, 7, 300):
+        want_y = _outcome(refloops.compose, m, x, n)
+        want_d = _outcome(refloops.deriv_product, m, x, n)
+        assert _outcome(m.compose, x, n) == want_y
+        assert _outcome(m.deriv_product, x, n) == want_d
+        want = want_d
+        if want_d[0] == "ok":
+            want = "ok", repr((refloops.compose(m, x, n),)
+                              + refloops.deriv_product(m, x, n))
+        assert _outcome(m.compose_deriv, x, n) == want
+        assert (_outcome(induction._induced_step, m, x, n)
+                == _outcome(refloops.induced_step, m, x, n))
+        for span in (1e-3, 0.25):
+            assert (_outcome(induction._safe_eval, m, x, n, span)
+                    == _outcome(refloops.safe_eval, m, x, n, span))
+
+
+def test_compose_shapes_at_hits_and_zero_derivative(doubling):
+    # dyadic starts hit the break 0.5: compose returns None, compose_deriv
+    # names the step that starts on it
+    assert doubling.compose(0.375, 2) == 0.5
+    assert doubling.compose(0.375, 3) is None
+    assert doubling.compose(0.5, 1) is None
+    with pytest.raises(OrbitHitsExceptionalError) as ei:
+        doubling.compose_deriv(0.375, 5)
+    assert (ei.value.index, ei.value.point) == (2, 0.5)
+    with pytest.raises(OrbitHitsExceptionalError) as ei:
+        doubling.compose_deriv(0.5, 1)
+    assert (ei.value.index, ei.value.point) == (0, 0.5)
+    assert doubling.compose_deriv(0.375, 2) == (0.5, 2 * math.log(2.0), 1)
+    # Df = 3 (x - 0.3)^2 vanishes off the validation grid, at 0.3 only
+    cube = build_map(MapSpec((BranchSpec((0.0, 1.0), "0.5 + (x - 0.3)^3"),)))
+    with pytest.raises(ZeroDerivativeError):
+        cube.compose_deriv(0.3, 1)
+    assert cube.compose(0.3, 1) == 0.5
+    # where both formulas fail (f: log 0, Df: division by 0), the
+    # derivative shapes raise Df's error and compose raises f's
+    both = build_map(MapSpec((BranchSpec(
+        (0.0, 1.0), "0.5 + 0.25*(x - 0.3) + 1e-6*log(abs(x - 0.3))"),)))
+    with pytest.raises(ZeroDivisionError):
+        both.compose_deriv(0.3, 1)
+    with pytest.raises(ValueError):
+        both.compose(0.3, 1)
+    for m in (cube, both):
+        for x in (0.3, 0.1, 0.7):
+            _assert_shapes_match_reference(m, x)
 
 
 def _evals(m, x, n):

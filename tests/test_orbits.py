@@ -4,6 +4,8 @@ import tracemalloc
 import pytest
 
 from intervaldyn import orbits
+from intervaldyn.classify import ClassifyConfig, classify_attractors, \
+    critical_order
 from intervaldyn.errors import (
     ConfigError,
     DegenerateOrbitError,
@@ -92,6 +94,27 @@ def test_omega_cover_rejects_bad_args(tent):
         omega_cover(tent, 0.3, 0, 20_000_000, 1e-3)
     with pytest.raises(ConfigError):
         omega_cover(tent, 0.3, 0, 100, 1e-7)
+
+
+def test_resolution_guard_is_shared(logistic4):
+    # omega_cover, basin_sample, classify_attractors and critical_order
+    # take a resolution only when it is finite and >= 1e-6
+    for res in (0, 0.0, -1e-3, 1e-7, math.nextafter(1e-6, 0.0),
+                float("nan"), math.inf, -math.inf):
+        calls = (
+            lambda: omega_cover(logistic4, 0.3, 10, 10, res),
+            lambda: basin_sample(logistic4, 1, 0,
+                                 BasinConfig(resolution=res)),
+            lambda: classify_attractors(logistic4,
+                                        ClassifyConfig(resolution=res)),
+            lambda: critical_order(logistic4, 10_000, res),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="resolution"):
+                call()
+    assert omega_cover(logistic4, 0.3, 10, 10, 1e-6).cells
+    assert basin_sample(logistic4, 1, 0, BasinConfig(
+        burn_in=10, length=10, resolution=1e-6))[0].cover.cells
 
 
 def test_omega_cover_degenerate_on_binary64_collapse(tent):
