@@ -1,14 +1,18 @@
 """Empirical attractor classification.
 
-Basin samples are clustered by the symmetric-difference length of their
-omega covers; each cluster is reported as an attracting periodic-like
-orbit, a cycle of intervals (permuted by the map), or a Cantor-like set
-matched to recurrent lateral critical values.  Clusters that fit none of
-the three shapes are reported as unresolved with diagnostics instead of
+Basin samples that converge to a periodic-like orbit are clustered by its
+points.  The others are clustered by connectivity of their omega covers:
+two visited bins at most one empty bin apart are connected, and samples
+whose bins meet one connected component of all the samples' bins share a
+cluster.  Each cluster is reported as an attracting periodic-like orbit,
+a cycle of intervals (permuted by the map), or a Cantor-like set matched
+to recurrent lateral critical values.  Clusters that fit none of the
+three shapes are reported as unresolved with diagnostics instead of
 being silently merged.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DegenerateOrbitError, IntervalDynError
@@ -16,6 +20,7 @@ from .mapcore import LateralPoint
 from .orbits import (
     BasinConfig,
     IntervalCover,
+    _bins_to_cells,
     basin_sample,
     check_resolution,
     cover_symdiff_length,
@@ -72,15 +77,30 @@ class AttractorReport:
 
 @dataclass
 class ClassificationResult:
+    """The reports of one `classify_attractors` call and the settings it
+    ran with.
+
+    `finiteness_check` is "exceeded" when there are more non-periodic
+    reports than exceptional points, and "ok" otherwise.  Distinct
+    attractors are disjoint, and a transitive non-periodic attractor of a
+    piecewise monotone map contains a cut, so a larger count points at
+    the sampling: an attractor split in two, or orbits that have not
+    settled.  It is a diagnostic, not a proof."""
     reports: list
     unclassified_fraction: float
     samples: int
+    finiteness_check: str
+    config: ClassifyConfig
 
     def to_dict(self):
+        c = self.config
         return {
             "reports": [r.to_dict() for r in self.reports],
             "unclassified_fraction": self.unclassified_fraction,
             "samples": self.samples,
+            "finiteness_check": self.finiteness_check,
+            "config": {"seed": c.seed, "burn_in": c.burn_in,
+                       "length": c.length, "resolution": c.resolution},
         }
 
 
@@ -273,23 +293,38 @@ def _flag_continuum(periodic_reports, resolution):
                 r.diagnostics["continuum_suspect"] = True
 
 
-def _join_cover(clusters, rec, tol):
-    # The float test decides every join.  The bin masks only skip clusters
-    # it would reject: bins the masks tell apart are distinct, and each is
-    # one resolution wide up to rounding, except the last one, cut off at
-    # the ambient end; so tol / resolution + 3 of them make a symmetric
-    # difference longer than tol.
-    gate = tol / rec.cover.resolution + 3
-    for cl in clusters:
-        if (cl["mask"] ^ rec.mask).bit_count() >= gate:
-            continue
-        if cover_symdiff_length(cl["union"], rec.cover) <= tol:
-            cl["indices"].append(rec.index)
-            cl["union"] = cover_union(cl["union"], rec.cover)
-            cl["mask"] |= rec.mask
-            return
-    clusters.append({"union": rec.cover, "mask": rec.mask,
-                     "indices": [rec.index]})
+def _connected_clusters(records):
+    """Cluster records by connectivity of their bins.  Two bins at most
+    one empty bin apart are connected; records whose bins meet a common
+    connected component of the union of all their bins share a cluster.
+    Returns (members, bins) per cluster in order of the first member: the
+    members in index order and the sorted union of their bins."""
+    union = sorted(set().union(*(r.bins for r in records)))
+    # where each component starts in `union`, and where the last one ends
+    bounds = [i for i in range(len(union))
+              if i == 0 or union[i] > union[i - 1] + 2] + [len(union)]
+    starts = [union[i] for i in bounds[:-1]]
+    parent = list(range(len(starts)))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    firsts = [bisect_right(starts, r.bins[0]) - 1 for r in records]
+    for r, c in zip(records, firsts):
+        # components are runs of bins, so a record whose first and last
+        # bins share one has all its bins in it
+        if c != bisect_right(starts, r.bins[-1]) - 1:
+            for d in {bisect_right(starts, k) - 1 for k in r.bins}:
+                parent[find(d)] = find(c)
+    members = {}
+    for r, c in zip(records, firsts):
+        members.setdefault(find(c), []).append(r)
+    bins = {root: [] for root in members}
+    for c in range(len(starts)):
+        bins[find(c)] += union[bounds[c]:bounds[c + 1]]
+    return [(members[root], bins[root]) for root in members]
 
 
 def classify_attractors(m, cfg=None):
@@ -305,7 +340,7 @@ def classify_attractors(m, cfg=None):
                            BasinConfig(burn_in=cfg.burn_in, length=cfg.length,
                                        resolution=cfg.resolution))
     periodic_clusters = []
-    cover_clusters = []
+    cover_records = []
     unclassified = 0
     for rec in records:
         if rec.periodic is not None:
@@ -313,7 +348,7 @@ def classify_attractors(m, cfg=None):
         elif rec.terminated_at is not None or rec.cover is None:
             unclassified += 1
         else:
-            _join_cover(cover_clusters, rec, 2.0 * cfg.resolution)
+            cover_records.append(rec)
 
     reports = []
     for cl in periodic_clusters:
@@ -336,17 +371,24 @@ def classify_attractors(m, cfg=None):
     critical_covers = {}
     recurrent_by_lateral = {}
     rec_length = max(10_000, cfg.length)
-    for cl in cover_clusters:
-        cover = cl["union"]
-        frac = len(cl["indices"]) / cfg.samples
+    for members, bins in _connected_clusters(cover_records):
+        cover = IntervalCover(cfg.resolution,
+                              _bins_to_cells(bins, *m.ambient, cfg.resolution))
+        indices = [r.index for r in members]
+        frac = len(members) / cfg.samples
+        shares = sorted(len(r.bins) / len(bins) for r in members)
+        saturation = 0.5 * (shares[(len(shares) - 1) // 2]
+                            + shares[len(shares) // 2])     # the median
         cyc = _try_interval_cycle(m, cover, cfg.resolution)
         if cyc is not None:
             cells, period = cyc
             reports.append(AttractorReport(
                 kind="interval_cycle", cover=cover, basin_fraction=frac,
-                sample_indices=cl["indices"], intervals=cells, period=period))
+                sample_indices=indices, intervals=cells, period=period,
+                diagnostics={"saturation": saturation}))
             continue
         matched, diag = match_omega(cover, m, cfg, critical_covers)
+        diag["saturation"] = saturation
         if matched is not None:
             for lp in matched:
                 if lp not in recurrent_by_lateral:
@@ -359,22 +401,25 @@ def classify_attractors(m, cfg=None):
             if all(recurrent):
                 reports.append(AttractorReport(
                     kind="cantor", cover=cover, basin_fraction=frac,
-                    sample_indices=cl["indices"], matched=matched,
+                    sample_indices=indices, matched=matched,
                     diagnostics=diag))
                 continue
-            diag = dict(diag)
             diag["reason"] = "matched laterals not all recurrent"
             diag["recurrent"] = recurrent
         reports.append(AttractorReport(
             kind="unresolved", cover=cover, basin_fraction=frac,
-            sample_indices=cl["indices"], diagnostics=diag))
+            sample_indices=indices, diagnostics=diag))
 
     reports.sort(key=lambda r: (-r.basin_fraction,
                                 r.sample_indices[0] if r.sample_indices else 0))
+    nonperiodic = sum(1 for r in reports if r.kind != "periodic_like")
     return ClassificationResult(
         reports=reports,
         unclassified_fraction=unclassified / cfg.samples,
         samples=cfg.samples,
+        finiteness_check=("ok" if nonperiodic <= len(m.exceptional)
+                          else "exceeded"),
+        config=cfg,
     )
 
 

@@ -9,6 +9,7 @@ every statistic downstream.
 """
 
 import math
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -91,24 +92,6 @@ def _bins_to_cells(ks, lo, hi, res):
     if run_start is not None:
         cells.append((lo + run_start * res, min(lo + (prev + 1) * res, hi)))
     return cells
-
-
-# a bin mask has at most 2**_MASK_LOG2 bits; finer grids share bits
-_MASK_LOG2 = 16
-
-
-def _bins_to_mask(ks, nbins):
-    """Bit k >> shift set for each bin k in ks, where shift is the least
-    that keeps bins 0 .. nbins-1 within 2**_MASK_LOG2 bits (0 for up to
-    65536 bins).  Sharing a bit only merges bins, so the popcount of the
-    XOR of two masks never exceeds the size of the two bin sets'
-    symmetric difference."""
-    shift = max(0, (nbins - 1).bit_length() - _MASK_LOG2)
-    digits = bytearray(b"0") * (((nbins - 1) >> shift) + 1)
-    for k in ks:
-        digits[k >> shift] = 49     # ord("1")
-    digits.reverse()
-    return int(digits, 2)
 
 
 # orbit steps per `walk` call of the binned loops, which bounds their memory
@@ -477,7 +460,8 @@ class RawPointRecord:
     cover: object            # IntervalCover or None if orbit died early
     periodic: object         # {"period": p, "points": [...]} or None
     terminated_at: object    # step index of an exact undefined-point hit
-    mask: object = None      # `_bins_to_mask` of the cover's bins, or None
+    bins: object = None      # the cover's bins, sorted (an int64 array, a
+                             # tuple beyond 2**63 bins), or None
 
 
 def basin_sample(m, sample_count, seed, cfg=None):
@@ -502,8 +486,11 @@ def _sample_one(m, idx, x0, cfg):
         cfg.resolution, cfg.periodic_scan + 1)
     if hit is not None and hit < cfg.burn_in:
         return RawPointRecord(idx, x0, None, None, hit)
+    ks = sorted(ks)
     cover = IntervalCover(cfg.resolution,
                           _bins_to_cells(ks, *m.ambient, cfg.resolution))
+    # int64 holds the bins of any grid of up to 2**63 bins
+    bins = array("q", ks) if nbins <= 1 << 63 else tuple(ks)
 
     periodic = None
     # unterminated, so the window holds all cfg.length iterates
@@ -520,5 +507,4 @@ def _sample_one(m, idx, x0, cfg):
                                 "multiplier": mult}
                 break
 
-    return RawPointRecord(idx, x0, cover, periodic, hit,
-                          _bins_to_mask(ks, nbins))
+    return RawPointRecord(idx, x0, cover, periodic, hit, bins)

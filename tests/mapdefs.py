@@ -41,6 +41,17 @@ def plateau_spec():
     ))
 
 
+def two_attractors_spec():
+    """Two copies of logistic a = 3.9, rescaled into (0, 0.5) and (0.5, 1):
+    each half is invariant and carries its own chaotic attractor."""
+    left = "3.9*x*(1-2*x)"
+    right = "0.5 + 0.5*3.9*(2*x-1)*(2-2*x)"
+    return MapSpec((
+        BranchSpec((0.0, 0.25), left), BranchSpec((0.25, 0.5), left),
+        BranchSpec((0.5, 0.75), right), BranchSpec((0.75, 1.0), right),
+    ))
+
+
 def neutral_spec():
     """Three branches: steep full linear branches on tiny edge intervals and
     a slowly repelling orientation-reversing middle branch fixing 0.5 with
@@ -83,3 +94,7 @@ def plateau():
 
 def neutral():
     return build_map(neutral_spec())
+
+
+def two_attractors():
+    return build_map(two_attractors_spec())

@@ -5,9 +5,11 @@ closed form exists (the a=3.2 logistic 2-cycle) the sampled values are
 checked against it as an independent route.
 """
 
+import functools
 import json
 import math
 import sys
+from array import array
 
 import pytest
 
@@ -27,9 +29,7 @@ from intervaldyn.orbits import (
     IntervalCover,
     RawPointRecord,
     _bins_to_cells,
-    _bins_to_mask,
     basin_sample,
-    cover_symdiff_length,
     cover_union,
 )
 
@@ -182,100 +182,135 @@ def test_samples_precondition(logistic32):
 # cover clustering
 
 
-def _ref_join_cover(clusters, rec, tol):
-    # the float-only clustering, before the bin-mask gate
-    for cl in clusters:
-        if cover_symdiff_length(cl["union"], rec.cover) <= tol:
-            cl["indices"].append(rec.index)
-            cl["union"] = cover_union(cl["union"], rec.cover)
-            return
-    clusters.append({"union": rec.cover, "indices": [rec.index]})
-
-
-def _clusters(join, records, tol):
-    clusters = []
-    for rec in records:
-        join(clusters, rec, tol)
-    return [(cl["indices"], cl["union"].cells) for cl in clusters]
-
-
-def _two_attractor_map():
-    # two copies of logistic a=3.9, rescaled into (0, 0.5) and (0.5, 1)
-    left = "3.9*x*(1-2*x)"
-    right = "0.5 + 0.5*3.9*(2*x-1)*(2-2*x)"
-    return build_map(MapSpec((
-        BranchSpec((0.0, 0.25), left), BranchSpec((0.25, 0.5), left),
-        BranchSpec((0.5, 0.75), right), BranchSpec((0.75, 1.0), right))))
-
-
 def _synthetic_record(index, ks, ambient, res):
     lo, hi = ambient
-    nbins = max(1, math.ceil((hi - lo) / res - 1e-9))
     cover = IntervalCover(res, _bins_to_cells(ks, lo, hi, res))
-    return RawPointRecord(index, lo, cover, None, None,
-                          _bins_to_mask(ks, nbins))
+    return RawPointRecord(index, lo, cover, None, None, array("q", sorted(ks)))
 
 
-@pytest.mark.parametrize("name", ["logistic382", "logistic4", "tent",
-                                  "two_attractors"])
-def test_join_cover_matches_float_reference_on_samples(name):
-    m, burn_in, length = {
-        "logistic382": (mapdefs.logistic(3.82), 2000, 600),
-        "logistic4": (mapdefs.logistic(4.0), 2000, 600),
-        # binary64 tent orbits collapse onto 0.5 within ~52 steps
-        "tent": (mapdefs.tent(), 0, 40),
-        "two_attractors": (_two_attractor_map(), 2000, 600),
-    }[name]
-    records = [r for r in basin_sample(
-        m, 100, 1, BasinConfig(burn_in=burn_in, length=length,
-                               resolution=1e-3))
-        if r.cover is not None]
-    assert len(records) >= 50
-    tol = 2e-3
-    assert (_clusters(classify._join_cover, records, tol)
-            == _clusters(_ref_join_cover, records, tol))
+def _cluster_indices(records):
+    return [[r.index for r in members]
+            for members, _ in classify._connected_clusters(records)]
 
 
 @pytest.mark.parametrize("ambient", [(0.0, 1.0004), (100.0, 101.0),
                                      (0.0, 100.0004)])
-def test_join_cover_matches_float_reference_near_the_gate(ambient):
-    res, tol = 1e-3, 2e-3
+def test_connectivity_joins_across_one_empty_bin_only(ambient):
+    # the last ambient has 100001 bins, more than a 2**16-bit mask holds
+    res = 1e-3
     nbins = max(1, math.ceil((ambient[1] - ambient[0]) / res - 1e-9))
-    last = nbins - 1           # 4e-4 wide when the width ends in .0004
-    base = set(range(200, 260)) | {last - 1}
-    extra = [last, 100, 101, 300, 400, 230, 240]
-    variants = [base]
-    for size in (1, 2, 3, 4):
-        for start in range(len(extra) - size + 1):
-            variants.append(base ^ set(extra[start:start + size]))
-    records = [_synthetic_record(i, ks, ambient, res)
-               for i, ks in enumerate(variants)]
-    # 100001 bins on (0, 100.0004): bins 2j and 2j + 1 share bit j
-    assert records[0].mask.bit_length() <= 2 ** 16
-    for a in records:
-        for b in records:
-            assert (_clusters(classify._join_cover, [a, b], tol)
-                    == _clusters(_ref_join_cover, [a, b], tol))
-    for order in (records, records[::-1]):
-        assert (_clusters(classify._join_cover, order, tol)
-                == _clusters(_ref_join_cover, order, tol))
-    # two bins apart, a full one and the 4e-4 wide last one: the float test
-    # joins them, so a gate without its slack of 3 fails the loops above
-    if ambient == (0.0, 1.0004):
-        pair = [records[0], records[variants.index(base | {last, 100})]]
-        assert len(_clusters(_ref_join_cover, pair, tol)) == 1
+    last = nbins - 1           # 4e-4 wide on (0, 1.0004)
+    for right in ({500, 501}, {last}):
+        first = min(right)
+        for gap, joined in ((1, True), (2, False)):
+            left = set(range(first - gap - 20, first - gap))
+            records = [_synthetic_record(0, left, ambient, res),
+                       _synthetic_record(1, right, ambient, res)]
+            clusters = classify._connected_clusters(records)
+            if joined:
+                assert _cluster_indices(records) == [[0, 1]]
+                assert clusters[0][1] == sorted(left | right)
+            else:
+                assert _cluster_indices(records) == [[0], [1]]
+                assert [bins for _, bins in clusters] == \
+                    [sorted(left), sorted(right)]
+    # a record joins what it touches, and no more: record 1 bridges 0 and
+    # 2 with one run, record 4 bridges 3 and 5 with two runs three bins
+    # apart, and 6 stays alone although 4 spans it
+    runs = [range(100, 110), range(108, 131), range(131, 140),
+            range(300, 310), [305, 600], range(600, 610), range(400, 410)]
+    records = [_synthetic_record(i, set(r), ambient, res)
+               for i, r in enumerate(runs)]
+    assert _cluster_indices(records) == [[0, 1, 2], [3, 4, 5], [6]]
+    assert _cluster_indices(records[::-1]) == [[6], [5, 4, 3], [2, 1, 0]]
+
+
+@pytest.mark.parametrize("name", ["logistic382", "logistic4", "tent",
+                                  "two_attractors"])
+def test_cluster_union_is_the_cover_union_fold(name):
+    m, burn_in, length, count = {
+        "logistic382": (mapdefs.logistic(3.82), 2000, 600, 1),
+        "logistic4": (mapdefs.logistic(4.0), 2000, 600, 1),
+        # binary64 tent orbits collapse onto 0.5 within ~52 steps
+        "tent": (mapdefs.tent(), 0, 40, 1),
+        "two_attractors": (mapdefs.two_attractors(), 2000, 600, 2),
+    }[name]
+    records = [r for r in basin_sample(
+        m, 100, 1, BasinConfig(burn_in=burn_in, length=length,
+                               resolution=1e-3))
+        if r.periodic is None and r.terminated_at is None]
+    assert len(records) >= 50
+    clusters = classify._connected_clusters(records)
+    assert len(clusters) == count
+    assert sorted(r.index for members, _ in clusters for r in members) \
+        == [r.index for r in records]
+    for members, bins in clusters:
+        assert [r.index for r in members] == \
+            sorted(r.index for r in members)
+        assert bins == sorted(set().union(*(r.bins for r in members)))
+        union = IntervalCover(1e-3, _bins_to_cells(bins, *m.ambient, 1e-3))
+        fold = functools.reduce(cover_union, [r.cover for r in members])
+        assert repr(union) == repr(fold)
+
+
+@pytest.mark.parametrize("cfg", [ClassifyConfig(),
+                                 ClassifyConfig(samples=100, length=20000)])
+def test_two_attractors_stay_apart(cfg):
+    m = mapdefs.two_attractors()
+    res = classify_attractors(m, cfg)
+    assert len(res.reports) == 2
+    assert res.unclassified_fraction == 0.0
+    assert sum(r.basin_fraction for r in res.reports) == 1.0
+    left, right = sorted(res.reports, key=lambda r: r.cover.cells[0][0])
+    assert left.cover.cells[-1][1] < 0.5 < right.cover.cells[0][0]
+    assert res.finiteness_check == "ok"
+
+
+def test_jump_contraction_sides_form_one_cluster():
+    # short windows stop just left and just right of the break at 0.6,
+    # in adjacent bins: one attractor, not one per side
+    res = classify_attractors(mapdefs.jump_contraction(), ClassifyConfig(
+        samples=100, burn_in=20, length=40))
+    assert [(r.kind, r.basin_fraction) for r in res.reports] == \
+        [("cantor", 1.0)]
+    cells = res.reports[0].cover.cells
+    lo, hi = cells[0][0], cells[-1][1]
+    assert lo < 0.6 < hi and hi - lo <= 2.5e-3
+
+
+def test_saturation_finiteness_and_config(logistic4_classification):
+    m, cfg, res = logistic4_classification
+    assert 0.9 < res.reports[0].diagnostics["saturation"] <= 1.0
+    d = res.to_dict()
+    assert d["finiteness_check"] == "ok"
+    assert d["config"] == {"seed": cfg.seed, "burn_in": cfg.burn_in,
+                           "length": cfg.length,
+                           "resolution": cfg.resolution}
+    # a short window of a chaotic orbit visits part of its attractor
+    short = classify_attractors(mapdefs.logistic(4.0), ClassifyConfig(
+        samples=100, seed=1, length=300))
+    (rep,) = short.reports
+    assert 0.0 < rep.diagnostics["saturation"] < 0.5
+    # slow convergence to the neutral fixed point 0 of a map with no cut:
+    # the unconverged samples make one non-periodic report, one more than
+    # the map can carry
+    slow = build_map(MapSpec((BranchSpec((0.0, 1.0), "x - 0.4*x^2"),)))
+    res = classify_attractors(slow, ClassifyConfig(samples=100, seed=1))
+    assert [r.kind for r in res.reports] == ["unresolved"]
+    assert res.finiteness_check == "exceeded"
 
 
 def test_classify_work_is_not_quadratic(monkeypatch):
-    # the bin-mask gate leaves few float comparisons, and each lateral's
-    # critical orbit is walked once per call (at the parent: 4950
-    # comparisons in _join_cover and 142 omega covers on this run)
-    counts = {"join_symdiff": 0, "omega_cover": 0}
+    # the samples of a chaotic map form one cluster on integer bins: no
+    # float cover comparison outside match_omega, and each lateral's
+    # critical orbit is walked once per call (with one cluster per sample,
+    # this run made 100 reports and 100 match_omega calls)
+    counts = {"clustering_symdiff": 0, "omega_cover": 0}
     symdiff, omega = classify.cover_symdiff_length, classify.omega_cover
 
     def counted_symdiff(a, b):
-        if sys._getframe(1).f_code.co_name == "_join_cover":
-            counts["join_symdiff"] += 1
+        if sys._getframe(1).f_code.co_name != "match_omega":
+            counts["clustering_symdiff"] += 1
         return symdiff(a, b)
 
     def counted_omega(*args):
@@ -287,9 +322,9 @@ def test_classify_work_is_not_quadratic(monkeypatch):
     m = mapdefs.logistic(3.82)
     res = classify_attractors(m, ClassifyConfig(samples=100, seed=1,
                                                 length=600))
-    assert len(res.reports) == 100     # one unresolved report per sample
-    assert 1 <= counts["omega_cover"] <= len(m.lateral_values)
-    assert counts["join_symdiff"] < 100
+    assert len([r for r in res.reports if r.kind != "periodic_like"]) == 1
+    assert counts["clustering_symdiff"] == 0
+    assert counts["omega_cover"] <= len(m.lateral_values)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,22 @@ def test_classify_reports_byte_identical(tmp_path):
     assert b1 == b2
 
 
+def test_classify_outputs_stay_small_on_a_chaotic_map(tmp_path):
+    # one report per attractor: a report per sample wrote megabytes here
+    mp = _map_file(tmp_path, mapdefs.logistic_spec(3.82), "l382.json")
+    out = tmp_path / "c"
+    assert main(["classify", "--map", mp, "--out", str(out)]) == 0
+    for name in ("report.json", "cover.svg"):
+        assert (out / name).stat().st_size < 64 * 1024, name
+    rep = json.loads((out / "report.json").read_text())
+    assert [r["kind"] for r in rep["reports"]] == ["interval_cycle"]
+    assert rep["reports"][0]["basin_fraction"] == 1.0
+    assert rep["finiteness_check"] == "ok"
+    assert rep["config"] == {"seed": 0, "burn_in": 2000, "length": 1000,
+                             "resolution": 0.001}
+    _assert_clean_svg(out / "cover.svg")
+
+
 # ---------------------------------------------------------------------------
 # return-map
 

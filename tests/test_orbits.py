@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -253,6 +254,22 @@ def test_basin_sample_deterministic(logistic32):
     assert a == b
 
 
+def test_basin_bins_beyond_int64():
+    # 1e19 bins, and orbits that settle beyond bin 2**63: the record keeps
+    # its bins as a tuple of Python ints, and classify clusters them like
+    # any other
+    m = build_map(MapSpec((BranchSpec((0.0, 1e13), "0.5*x + 4.75e12"),),
+                          (0.0, 1e13)))
+    cfg = BasinConfig(burn_in=0, length=50, resolution=1e-6)
+    for rec in basin_sample(m, 3, 1, cfg):
+        assert type(rec.bins) is tuple
+        assert rec.bins[-1] >= 2 ** 63
+        assert list(rec.bins) == sorted(rec.bins)
+    res = classify_attractors(m, ClassifyConfig(
+        samples=100, burn_in=0, length=50, resolution=1e-6))
+    assert [r.basin_fraction for r in res.reports] == [1.0]
+
+
 # -- reference: the per-step eval loops that basin sampling and omega
 # covers ran before they moved onto the chunked `walk`
 
@@ -302,8 +319,6 @@ def _ref_sample_one(m, idx, x0, cfg):
             terminated = cfg.burn_in + i
             break
     cover = IntervalCover(res, orbits._bins_to_cells(ks, lo, hi, res))
-    # one bit per bin: the grids here have fewer than 2**16 bins
-    mask = sum(1 << k for k in ks)
     periodic = None
     if terminated is None and len(tail) > 1:
         for p in range(1, min(cfg.periodic_scan, len(tail) - 1) + 1):
@@ -317,7 +332,8 @@ def _ref_sample_one(m, idx, x0, cfg):
                     periodic = {"period": p, "points": tail[:p],
                                 "multiplier": mult}
                 break
-    return RawPointRecord(idx, x0, cover, periodic, terminated, mask)
+    return RawPointRecord(idx, x0, cover, periodic, terminated,
+                          array("q", sorted(ks)))
 
 
 def _outcome(fn, *args):
