@@ -268,11 +268,11 @@ def _join_periodic(clusters, rec):
         if cl["period"] == p and \
                 _match_sorted_points(cl["points"], pts, _PERIODIC_MATCH_TOL):
             cl["indices"].append(rec.index)
-            cl["covers"].append(rec.cover)
+            cl["bins"].append(rec.bins)
             return
     clusters.append({"period": p, "points": list(pts),
                      "multiplier": rec.periodic["multiplier"],
-                     "indices": [rec.index], "covers": [rec.cover]})
+                     "indices": [rec.index], "bins": [rec.bins]})
 
 
 def _flag_continuum(periodic_reports, resolution):
@@ -345,7 +345,7 @@ def classify_attractors(m, cfg=None):
     for rec in records:
         if rec.periodic is not None:
             _join_periodic(periodic_clusters, rec)
-        elif rec.terminated_at is not None or rec.cover is None:
+        elif rec.terminated_at is not None or rec.bins is None:
             unclassified += 1
         else:
             cover_records.append(rec)
@@ -353,9 +353,9 @@ def classify_attractors(m, cfg=None):
     reports = []
     for cl in periodic_clusters:
         cov = None
-        for c in cl["covers"]:
-            if c is None:
-                continue
+        for bins in cl["bins"]:
+            c = IntervalCover(cfg.resolution, _bins_to_cells(
+                bins, *m.ambient, cfg.resolution))
             cov = c if cov is None else cover_union(cov, c)
         reports.append(AttractorReport(
             kind="periodic_like",

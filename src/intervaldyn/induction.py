@@ -78,9 +78,16 @@ class InducedMap:
     map: object          # the underlying PiecewiseMap
     source: tuple        # search domain: T for entry, J for return
     _los: list = field(init=False, repr=False, default=None)
+    _his: list = field(init=False, repr=False, default=None)
+    _times: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self._los = [b.lo for b in self.branches]
+        # clipped to the next branch's lo, so that `PiecewiseMap.induce`
+        # keeps a branch exactly where `branch_at` would find it again
+        self._his = [min(b.hi, nxt) for b, nxt in
+                     zip(self.branches, self._los[1:] + [math.inf])]
+        self._times = [b.time for b in self.branches]
 
     def branch_at(self, x):
         i = bisect.bisect_right(self._los, x) - 1
@@ -89,6 +96,13 @@ class InducedMap:
             if b.lo < x < b.hi:
                 return b
         return None
+
+    def induce(self, x, k, lo, hi, cap=math.inf):
+        """`PiecewiseMap.induce` on this map's branches: up to k induced
+        steps from x, stopping on a return into (lo, hi) or past cap
+        f-steps."""
+        return self.map.induce(x, k, lo, hi, cap, self._los, self._his,
+                               self._times)
 
     def eval(self, x):
         b = self.branch_at(x)
@@ -157,43 +171,40 @@ class PartitionCell:
 # shared numerics
 
 
-def _safe_eval(m, x, t, span):
-    """f^t(x) with one inward-nudge retry if an iterate lands exactly on an
-    exceptional point or outside the ambient interval."""
-    try:
-        y = m.compose(x, t)
-    except IntervalDynError:
-        y = None
-    if y is None:
-        x += span * 1e-9
-        y = m.compose(x, t)
-        if y is None:
-            ys = m.walk(x, t)
-            raise ExceptionalPointError(ys[-1] if ys else x)
-    return y
-
-
 def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
     """Find u in [u_lo, u_hi] with f^t(u) = target by monotone bisection.
     Returns (u, achieved image value); the achieved value is the honest
-    measurement used for the Markov check."""
+    measurement used for the Markov check.  A midpoint whose orbit lands
+    exactly on an exceptional point or outside the ambient interval is
+    retried once, nudged inward by 1e-9 of the bracket; a second failure
+    ends the search."""
+    compose = m.compose
     increasing = y_at_lo <= y_at_hi
     a, b = u_lo, u_hi
     if abs(y_at_lo - target) <= abs(y_at_hi - target):
         best_x, best_y = u_lo, y_at_lo
     else:
         best_x, best_y = u_hi, y_at_hi
+    best_d = abs(best_y - target)
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if mid <= min(a, b) or mid >= max(a, b):
+        if not (a < mid < b or b < mid < a):
             break
         try:
-            y = _safe_eval(m, mid, t, b - a)
+            y = compose(mid, t)
         except IntervalDynError:
-            break
-        if abs(y - target) < abs(best_y - target):
-            best_x, best_y = mid, y
-        if abs(y - target) <= _IMG_TOL:
+            y = None
+        if y is None:
+            try:
+                y = compose(mid + (b - a) * 1e-9, t)
+            except IntervalDynError:
+                break
+            if y is None:
+                break
+        d = abs(y - target)
+        if d < best_d:
+            best_x, best_y, best_d = mid, y, d
+        if d <= _IMG_TOL:
             return mid, y
         if (y < target) == increasing:
             a = mid
@@ -576,27 +587,16 @@ def _flank_stats(ind, flank):
     max_steps = 0
     for k in range(_FLANK_PROBES):
         x = lo + w * (k + 0.5) / _FLANK_PROBES
-        logsum = 0.0
-        fsteps = 0
-        while True:
-            br = ind.branch_at(x)
-            if br is None:
-                aborted += 1
-                break
-            fsteps += br.time
-            if fsteps > _FLANK_CAP:
-                unreturned += 1
-                break
-            step = _induced_step(ind.map, x, br.time)
-            if step is None:
-                aborted += 1
-                break
-            x, logd = step
-            logsum += logd
-            if lo < x < hi:
-                returned.append(math.exp(logsum))
-                max_steps = max(max_steps, fsteps)
-                break
+        # return times are at least 1, so the cap stops the walk first
+        state, _, logsum, fsteps = ind.induce(x, _FLANK_CAP + 1, lo, hi,
+                                              _FLANK_CAP)
+        if state == "returned":
+            returned.append(math.exp(logsum))
+            max_steps = max(max_steps, fsteps)
+        elif state == "unreturned":
+            unreturned += 1
+        else:
+            aborted += 1
     min_deriv = min(returned) if returned else math.inf
     return {
         "returned": len(returned),
@@ -679,14 +679,8 @@ def expansion_analysis(ind, m):
     ip = (u0, u1) if u0 <= u1 else (u1, u0)
 
     def f2_gap(x):
-        y = x
-        for _ in range(2):
-            br = ind.branch_at(y)
-            s = None if br is None else _induced_step(ind.map, y, br.time)
-            if s is None:
-                return None
-            y = s[0]
-        return y - x
+        state, y, _, _ = ind.induce(x, 2, 0.0, 0.0)
+        return y - x if state == "done" else None
 
     xs = []
     hs = []

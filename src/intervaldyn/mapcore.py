@@ -9,8 +9,11 @@ derivatives.
 `build_map` is the one construction pass.  It checks the tiling, then walks
 each branch's validation grid once: the image must stay in the ambient
 interval, Df must be defined, nonzero and of one sign, and D2f must be
-defined.  The same walk records min |Df| and sup |D2f|/|Df| on the branch,
-which `validate_nonflat` and `PiecewiseMap.nonlinearity` report.
+defined.  The branch closure must also be defined at both ends of the
+branch's domain and map them into the ambient interval, exactly: a lateral
+value one ulp outside would only fail later, mid-run.  The grid walk
+records min |Df| and sup |D2f|/|Df| on the branch, which
+`validate_nonflat` and `PiecewiseMap.nonlinearity` report.
 
 Exact binary64 equality decides membership in the exceptional set: the
 orbit of a typical point never hits it, while an exact hit is a meaningful
@@ -30,11 +33,20 @@ pull-backs of cylinder refinement, and the induced-map evaluation, run on
 `compose`; `deriv_product` and every induced-branch step that needs its
 derivative run on `compose_deriv`; loops that stop on a condition of their
 own run on `eval` and `step`.
+
+A sixth shape, `PiecewiseMap.induce`, walks an induced map, given as
+tables of branch domains and return times, until an iterate returns into
+an interval: the neutral-core flank probes and the F^2 scan of
+`induction.expansion_analysis` run on it, through `InducedMap.induce`.  It
+is compiled on first use, not in `build_map`: only return-map analysis
+needs it, and compiling its source, which holds every arm twice, would
+make every map build slower.
 """
 
 import math
 from bisect import bisect_right, bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
 from .errors import (
@@ -128,8 +140,9 @@ def _midgrid(a, b, n):
 
 def _compile_ladders(branches, ambient, exceptional):
     """Compile the branch lookup and the branch formulas together into five
-    shapes: `f(x)`; `step(x) = (f(x), Df(x))`; `walk(x, n)`, the list of
-    iterates x_1 .. x_n; `compose(x, n) = f^n(x)`; and
+    shapes, and a sixth on demand: `f(x)`; `step(x) = (f(x), Df(x))`;
+    `walk(x, n)`, the list of iterates x_1 .. x_n; `compose(x, n) = f^n(x)`;
+    and
     `compose_deriv(x, n) = (f^n(x), sum of log|Df|, product of the signs
     of Df)`.  One arm per branch, shared by the five shapes: one comparison
     per cut, where every interior cut is exceptional and open on both sides
@@ -140,7 +153,20 @@ def _compile_ladders(branches, ambient, exceptional):
     `compose_deriv` evaluate Df before f, and `compose_deriv` raises
     `ZeroDerivativeError` after both.  The formulas are the `expr` codegen
     source of the branch closures, so values agree with them bit for
-    bit."""
+    bit.
+
+    The sixth shape, `induce` (see `PiecewiseMap.induce`), walks an induced
+    map on the same arms, for the flank probes and the F^2 scan of
+    `induction.expansion_analysis`.  A step of return time 1 runs the arms
+    once, outside the per-step loop, and each arm returns or goes on to the
+    next step, so an x that no arm takes falls through to the 'aborted'
+    exit; without it a perfbench `long_orbits` round takes 7% longer.  So
+    its source holds every arm twice, and only return-map analysis uses
+    it: compiled with the other five it made every `build_map` slower
+    (logistic, fastest of 500: 1.2 to 1.8 ms, 2-vCPU Xeon), and a
+    perfbench `param_sweep` round 6% slower.  The last element returned is
+    therefore a function that compiles it, which `PiecewiseMap.induce`
+    calls on first access."""
     hi = ambient[1]
     exc = frozenset(exceptional)
 
@@ -173,6 +199,57 @@ def _compile_ladders(branches, ambient, exceptional):
                 + ["        if x in _exc:", "            " + hit,
                    "        raise _miss(x)", "    " + tail])
 
+    def compile_shapes(src, names):
+        ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss,
+              "_zero": zero, "_hit": OrbitHitsExceptionalError, "_exc": exc,
+              "_bisect": bisect_right}
+        exec("\n".join(src), ns)
+        return tuple(ns[k] for k in names)
+
+    def compile_induce():
+        # (a, b) is the previous step's branch, empty at the start; the
+        # time-1 step's `s += log|Df|` equals adding a per-branch sum
+        # 0.0 + log|Df| bit for bit, as log never returns -0.0
+        abort = "return 'aborted', %s, s, n"
+        src = (["def induce(x, k, lo, hi, cap, los, his, times):",
+                "    s = 0.0",
+                "    n = 0",
+                "    a = b = 0.0",
+                "    for _ in range(k):",
+                "        if not a < x < b:",
+                "            j = _bisect(los, x) - 1",
+                "            if j < 0:",
+                "                " + abort % "x",
+                "            a = los[j]",
+                "            b = his[j]",
+                "            if not a < x < b:",
+                "                " + abort % "x",
+                "            t = times[j]",
+                "        n += t",
+                "        if n > cap:",
+                "            return 'unreturned', x, s, n",
+                "        if t == 1:"]
+               + ladder("d = {df}; y = {f}\n"
+                        "if d == 0.0: " + abort % "x" + "\n"
+                        "s += _m.log(abs(d))\n"
+                        "x = y\n"
+                        "if lo < x < hi: return 'returned', x, s, n\n"
+                        "continue", "            ")
+               + ["            " + abort % "x",
+                  "        u = x",
+                  "        p = 0.0",
+                  "        for i in range(t):"]
+               + ladder("d = {df}; y = {f}\n"
+                        "if d == 0.0: " + abort % "u" + "\n"
+                        "p += _m.log(abs(d))\n"
+                        "x = y; continue", "            ")
+               + ["            " + abort % "u",
+                  "        s += p",
+                  "        if lo < x < hi:",
+                  "            return 'returned', x, s, n",
+                  "    return 'done', x, s, n"])
+        return compile_shapes(src, ("induce",))[0]
+
     src = (["def f(x):"] + ladder("return {f}", "    ")
            + ["    raise _miss(x)", "def step(x):"]
            + ladder("d = {df}; return {f}, d", "    ")
@@ -188,11 +265,8 @@ def _compile_ladders(branches, ambient, exceptional):
                   "if d < 0.0: sg = -sg\n"
                   "x = y; continue",
                   "raise _hit(i, x)", "return x, s, sg"))
-    ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss, "_zero": zero,
-          "_hit": OrbitHitsExceptionalError, "_exc": exc}
-    exec("\n".join(src), ns)
-    return tuple(ns[k] for k in ("f", "step", "walk", "compose",
-                                 "compose_deriv"))
+    return compile_shapes(src, ("f", "step", "walk", "compose",
+                                "compose_deriv")) + (compile_induce,)
 
 
 class PiecewiseMap:
@@ -209,7 +283,7 @@ class PiecewiseMap:
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
         (self._eval, self._step, self._walk, self._compose,
-         self._compose_deriv) = _compile_ladders(
+         self._compose_deriv, self._compile_induce) = _compile_ladders(
             self.branches, ambient, self.exceptional)
 
     # -- lookup ------------------------------------------------------------
@@ -260,6 +334,27 @@ class PiecewiseMap:
         ZeroDerivativeError where Df vanishes."""
         return self._compose_deriv(x, n)
 
+    @cached_property
+    def induce(self):
+        """`induce(x, k, lo, hi, cap, los, his, times)` walks the induced
+        map whose branches are (los[j], his[j]) with return times times[j],
+        from x, in one compiled loop; los is sorted.
+        Each induced step finds its branch (x strictly inside it; the
+        previous step's branch is reused while x stays strictly inside it,
+        so his[j] must not exceed los[j + 1]), counts its time into the
+        f-steps, stops as 'unreturned' once they pass cap, before stepping,
+        and applies f^time with `compose_deriv`'s arithmetic, adding that
+        step's log sum to the running one.  The walk stops as 'returned'
+        once an iterate lies in the open (lo, hi), and as 'done' after k
+        steps.  It stops as 'aborted' where x lies in no branch, or where
+        f^time hits the exceptional set, leaves the ambient interval or
+        meets Df = 0.  Returns (state, x, log sum, f-steps); after 'aborted'
+        and 'unreturned', x and the log sum are those before the failed
+        step, and the f-steps include its time once it has a branch.
+        Errors of the branch formulas propagate, as in `compose_deriv`.
+        The loop is compiled on first access."""
+        return self._compile_induce()
+
     def deriv(self, x):
         return self.branch_at(x).df(x)
 
@@ -267,9 +362,6 @@ class PiecewiseMap:
         # branch closures are C2, so the one-sided limit is plain closure
         # evaluation of the adjacent branch
         return self._lateral_branch(p).f(p.point)
-
-    def deriv_lateral(self, p):
-        return self._lateral_branch(p).df(p.point)
 
     def deriv_product(self, x, n):
         """(sum of log|Df| along n steps, product of derivative signs).
@@ -390,21 +482,25 @@ def build_map(spec):
     branches = [Branch.from_source(b.domain[0], b.domain[1], b.expr)
                 for b in bs]
 
+    def check_image(b, x, where):
+        # exact bounds: the ladder rejects any iterate outside [lo, hi]
+        try:
+            y = b.f(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise BranchImageError(
+                "branch %r undefined at %s %r: %s" % (b.source, where, x, e),
+                witness=x) from None
+        if not lo <= y <= hi:
+            raise BranchImageError(
+                "branch %r maps %s %r to %r outside [%r, %r]"
+                % (b.source, where, x, y, lo, hi), witness=x)
+
     for b in branches:
         prev = None
         min_d = float("inf")
         nonlin = 0.0
         for x in _midgrid(b.lo, b.hi, _VALIDATION_GRID):
-            try:
-                y = b.f(x)
-            except (ValueError, ZeroDivisionError, OverflowError) as e:
-                raise BranchImageError(
-                    "branch %r undefined at grid point %r: %s"
-                    % (b.source, x, e), witness=x) from None
-            if not (lo - 1e-12 <= y <= hi + 1e-12):
-                raise BranchImageError(
-                    "branch %r maps grid point %r to %r outside [%r, %r]"
-                    % (b.source, x, y, lo, hi), witness=x)
+            check_image(b, x, "grid point")
             try:
                 d = b.df(x)
             except (ValueError, ZeroDivisionError, OverflowError) as e:
@@ -428,6 +524,10 @@ def build_map(spec):
                     "%r: %s" % (b.source, x, e)) from None
             min_d = min(min_d, abs(d))
             nonlin = max(nonlin, abs(dd) / abs(d))
+        # the closure at the ends gives the lateral values at the cuts and
+        # f itself at the ambient ends
+        check_image(b, b.lo, "domain end")
+        check_image(b, b.hi, "domain end")
         b.min_abs_deriv = min_d
         b.nonlinearity = nonlin
 

@@ -457,11 +457,12 @@ class BasinConfig:
 class RawPointRecord:
     index: int
     start: float
-    cover: object            # IntervalCover or None if orbit died early
     periodic: object         # {"period": p, "points": [...]} or None
     terminated_at: object    # step index of an exact undefined-point hit
-    bins: object = None      # the cover's bins, sorted (an int64 array, a
-                             # tuple beyond 2**63 bins), or None
+    bins: object = None      # the visited bins, sorted (an int64 array, a
+                             # tuple beyond 2**63 bins), or None if the
+                             # orbit died early; `_bins_to_cells` makes
+                             # them a cover
 
 
 def basin_sample(m, sample_count, seed, cfg=None):
@@ -485,10 +486,8 @@ def _sample_one(m, idx, x0, cfg):
         m, x0, cfg.burn_in + cfg.length, cfg.burn_in, cfg.length,
         cfg.resolution, cfg.periodic_scan + 1)
     if hit is not None and hit < cfg.burn_in:
-        return RawPointRecord(idx, x0, None, None, hit)
+        return RawPointRecord(idx, x0, None, hit)
     ks = sorted(ks)
-    cover = IntervalCover(cfg.resolution,
-                          _bins_to_cells(ks, *m.ambient, cfg.resolution))
     # int64 holds the bins of any grid of up to 2**63 bins
     bins = array("q", ks) if nbins <= 1 << 63 else tuple(ks)
 
@@ -507,4 +506,4 @@ def _sample_one(m, idx, x0, cfg):
                                 "multiplier": mult}
                 break
 
-    return RawPointRecord(idx, x0, cover, periodic, hit, bins)
+    return RawPointRecord(idx, x0, periodic, hit, bins)

@@ -1,6 +1,6 @@
 """Reference orbit loops: the per-step Python loops that the compiled
-`compose` and `compose_deriv` ladder shapes replaced, kept verbatim so the
-tests can check the shapes against them bit for bit.
+`compose`, `compose_deriv` and `induce` ladder shapes replaced, kept
+verbatim so the tests can check the shapes against them bit for bit.
 
 `install(monkeypatch)` swaps every one of them back into the package and
 returns a dict that counts the calls each reference receives.
@@ -45,17 +45,47 @@ def compose(m, x, n):
 
 
 def safe_eval(m, x, t, span):
-    """`induction._safe_eval`: f^t(x) with one inward-nudge retry."""
+    """`induction._safe_eval`: f^t(x) with one inward-nudge retry if an
+    iterate lands exactly on an exceptional point or outside the ambient
+    interval."""
     try:
-        ys = m.walk(x, t)
+        y = m.compose(x, t)
     except IntervalDynError:
-        ys = None
-    if ys is None or len(ys) < t:
+        y = None
+    if y is None:
         x += span * 1e-9
-        ys = m.walk(x, t)
-        if len(ys) < t:
+        y = m.compose(x, t)
+        if y is None:
+            ys = m.walk(x, t)
             raise ExceptionalPointError(ys[-1] if ys else x)
-    return ys[-1] if t else x
+    return y
+
+
+def pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
+    """`induction._pull`: monotone bisection through `safe_eval`."""
+    increasing = y_at_lo <= y_at_hi
+    a, b = u_lo, u_hi
+    if abs(y_at_lo - target) <= abs(y_at_hi - target):
+        best_x, best_y = u_lo, y_at_lo
+    else:
+        best_x, best_y = u_hi, y_at_hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= min(a, b) or mid >= max(a, b):
+            break
+        try:
+            y = safe_eval(m, mid, t, b - a)
+        except IntervalDynError:
+            break
+        if abs(y - target) < abs(best_y - target):
+            best_x, best_y = mid, y
+        if abs(y - target) <= induction._IMG_TOL:
+            return mid, y
+        if (y < target) == increasing:
+            a = mid
+        else:
+            b = mid
+    return best_x, best_y
 
 
 def induced_step(m, x, time):
@@ -80,6 +110,84 @@ def induced_eval(ind, x):
     for _ in range(b.time):
         x = ind.map.eval(x)
     return x
+
+
+def flank_stats(ind, flank):
+    """`induction._flank_stats`: one `branch_at` and one `_induced_step`
+    per induced step of each probe."""
+    lo, hi = flank
+    w = hi - lo
+    returned = []
+    unreturned = 0
+    aborted = 0
+    max_steps = 0
+    for k in range(induction._FLANK_PROBES):
+        x = lo + w * (k + 0.5) / induction._FLANK_PROBES
+        logsum = 0.0
+        fsteps = 0
+        while True:
+            br = ind.branch_at(x)
+            if br is None:
+                aborted += 1
+                break
+            fsteps += br.time
+            if fsteps > induction._FLANK_CAP:
+                unreturned += 1
+                break
+            step = induction._induced_step(ind.map, x, br.time)
+            if step is None:
+                aborted += 1
+                break
+            x, logd = step
+            logsum += logd
+            if lo < x < hi:
+                returned.append(math.exp(logsum))
+                max_steps = max(max_steps, fsteps)
+                break
+    min_deriv = min(returned) if returned else math.inf
+    return {
+        "returned": len(returned),
+        "unreturned": unreturned,
+        "aborted": aborted,
+        "min_deriv": min_deriv,
+        "max_fsteps": max_steps,
+    }
+
+
+def f2_gap(ind, x):
+    """The `f2_gap` of `induction.expansion_analysis`: F(F(x)) - x, or
+    None where F is undefined on the way."""
+    y = x
+    for _ in range(2):
+        br = ind.branch_at(y)
+        s = None if br is None else induction._induced_step(
+            ind.map, y, br.time)
+        if s is None:
+            return None
+        y = s[0]
+    return y - x
+
+
+def induced_walk(ind, x, k, lo, hi, cap=math.inf):
+    """`InducedMap.induce`: the probe loop of `flank_stats`, stopped after
+    k induced steps, returning (state, x, log sum, f-steps) at the stop."""
+    logsum = 0.0
+    fsteps = 0
+    for _ in range(k):
+        br = ind.branch_at(x)
+        if br is None:
+            return "aborted", x, logsum, fsteps
+        fsteps += br.time
+        if fsteps > cap:
+            return "unreturned", x, logsum, fsteps
+        step = induction._induced_step(ind.map, x, br.time)
+        if step is None:
+            return "aborted", x, logsum, fsteps
+        x, logd = step
+        logsum += logd
+        if lo < x < hi:
+            return "returned", x, logsum, fsteps
+    return "done", x, logsum, fsteps
 
 
 def refine_partition(ind, n):
@@ -147,12 +255,13 @@ def install(monkeypatch):
     monkeypatch.setattr(pm, "deriv_product",
                         counted("deriv_product", deriv_product))
     monkeypatch.setattr(pm, "compose", counted("compose", compose))
-    monkeypatch.setattr(induction, "_safe_eval",
-                        counted("safe_eval", safe_eval))
+    monkeypatch.setattr(induction, "_pull", counted("pull", pull))
     monkeypatch.setattr(induction, "_induced_step",
                         counted("induced_step", induced_step))
     monkeypatch.setattr(induction.InducedMap, "eval",
                         counted("induced_eval", induced_eval))
+    monkeypatch.setattr(induction.InducedMap, "induce",
+                        counted("induce", induced_walk))
     refine = counted("refine_partition", refine_partition)
     monkeypatch.setattr(induction, "refine_partition", refine)
     monkeypatch.setattr(cli, "refine_partition", refine)

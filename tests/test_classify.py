@@ -14,7 +14,7 @@ from array import array
 import pytest
 
 import mapdefs
-from intervaldyn import classify
+from intervaldyn import classify, orbits
 from intervaldyn.classify import (
     ClassifyConfig,
     classify_attractors,
@@ -74,6 +74,22 @@ def test_period_two_attractor(logistic32):
     assert abs(rep.periodic["multiplier"] - 0.16) < 1e-6
     assert "continuum_suspect" not in rep.diagnostics
     assert len(rep.cover.cells) == 2
+
+
+def test_periodic_report_covers_every_sample():
+    # every point of the identity is a neutral fixed point: samples closer
+    # than the match tolerance share a report, with one bin each at 1e-6
+    m = build_map(MapSpec((BranchSpec((0.0, 1.0), "x"),)))
+    cfg = ClassifyConfig(samples=400, burn_in=0, length=2, resolution=1e-6)
+    res = classify_attractors(m, cfg)
+    bins = {r.index: r.bins for r in basin_sample(
+        m, cfg.samples, cfg.seed,
+        BasinConfig(burn_in=0, length=2, resolution=1e-6))}
+    assert any(len(r.sample_indices) > 1 for r in res.reports)
+    for rep in res.reports:
+        union = sorted(set().union(*(bins[i] for i in rep.sample_indices)))
+        assert repr(rep.cover) == repr(IntervalCover(
+            1e-6, _bins_to_cells(union, *m.ambient, 1e-6)))
 
 
 def test_full_interval_cycle(logistic4_classification):
@@ -182,10 +198,8 @@ def test_samples_precondition(logistic32):
 # cover clustering
 
 
-def _synthetic_record(index, ks, ambient, res):
-    lo, hi = ambient
-    cover = IntervalCover(res, _bins_to_cells(ks, lo, hi, res))
-    return RawPointRecord(index, lo, cover, None, None, array("q", sorted(ks)))
+def _synthetic_record(index, ks, start):
+    return RawPointRecord(index, start, None, None, array("q", sorted(ks)))
 
 
 def _cluster_indices(records):
@@ -204,8 +218,8 @@ def test_connectivity_joins_across_one_empty_bin_only(ambient):
         first = min(right)
         for gap, joined in ((1, True), (2, False)):
             left = set(range(first - gap - 20, first - gap))
-            records = [_synthetic_record(0, left, ambient, res),
-                       _synthetic_record(1, right, ambient, res)]
+            records = [_synthetic_record(0, left, ambient[0]),
+                       _synthetic_record(1, right, ambient[0])]
             clusters = classify._connected_clusters(records)
             if joined:
                 assert _cluster_indices(records) == [[0, 1]]
@@ -219,7 +233,7 @@ def test_connectivity_joins_across_one_empty_bin_only(ambient):
     # apart, and 6 stays alone although 4 spans it
     runs = [range(100, 110), range(108, 131), range(131, 140),
             range(300, 310), [305, 600], range(600, 610), range(400, 410)]
-    records = [_synthetic_record(i, set(r), ambient, res)
+    records = [_synthetic_record(i, set(r), ambient[0])
                for i, r in enumerate(runs)]
     assert _cluster_indices(records) == [[0, 1, 2], [3, 4, 5], [6]]
     assert _cluster_indices(records[::-1]) == [[6], [5, 4, 3], [2, 1, 0]]
@@ -249,7 +263,9 @@ def test_cluster_union_is_the_cover_union_fold(name):
             sorted(r.index for r in members)
         assert bins == sorted(set().union(*(r.bins for r in members)))
         union = IntervalCover(1e-3, _bins_to_cells(bins, *m.ambient, 1e-3))
-        fold = functools.reduce(cover_union, [r.cover for r in members])
+        fold = functools.reduce(cover_union, [
+            IntervalCover(1e-3, _bins_to_cells(r.bins, *m.ambient, 1e-3))
+            for r in members])
         assert repr(union) == repr(fold)
 
 
@@ -325,6 +341,23 @@ def test_classify_work_is_not_quadratic(monkeypatch):
     assert len([r for r in res.reports if r.kind != "periodic_like"]) == 1
     assert counts["clustering_symdiff"] == 0
     assert counts["omega_cover"] <= len(m.lateral_values)
+
+
+def test_classify_builds_one_cover_per_report(monkeypatch):
+    # samples keep their bins; the one interval-cycle report of the CLI
+    # defaults builds the only cover, not one per sample
+    calls = []
+    cells = orbits._bins_to_cells
+
+    def counted(*args):
+        calls.append(1)
+        return cells(*args)
+
+    monkeypatch.setattr(orbits, "_bins_to_cells", counted)
+    monkeypatch.setattr(classify, "_bins_to_cells", counted)
+    res = classify_attractors(mapdefs.logistic(3.82), ClassifyConfig())
+    assert [r.kind for r in res.reports] == ["interval_cycle"]
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +512,7 @@ def test_nonperiodic_covers_meet_critical_balls(logistic4):
     for r in recs:
         assert r.terminated_at is None
         assert r.periodic is None
-        if not _in_cells(0.5, r.cover.cells, 1e-3):
+        cells = _bins_to_cells(r.bins, *logistic4.ambient, 1e-3)
+        if not _in_cells(0.5, cells, 1e-3):
             avoiding += 1
     assert avoiding == 0

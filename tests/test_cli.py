@@ -213,18 +213,20 @@ def test_plot_truncates_on_exceptional_hit(tmp_path):
 
 def test_artifacts_byte_identical_with_reference_loops(tmp_path,
                                                        monkeypatch):
-    # the compiled compose shapes and the pull-back memo change no output
-    # byte against the per-step loops they replaced
+    # the compiled compose and induce shapes and the pull-back memo change
+    # no output byte against the per-step loops they replaced
     mp = _map_file(tmp_path, mapdefs.logistic_spec(4.0), "l4.json")
-    runs = (["return-map", "--j", "0.25,0.75", "--t-max", "12",
-             "--refine", "1"],
-            ["analyze", "--period-max", "6"])
+    neutral = _map_file(tmp_path, mapdefs.neutral_spec(), "neutral.json")
+    runs = ((mp, ["return-map", "--j", "0.25,0.75", "--t-max", "12",
+                  "--refine", "1"]),
+            (mp, ["analyze", "--period-max", "6"]),
+            (neutral, ["return-map", "--j", "0,1", "--t-max", "3"]))
 
     def artifacts(tag):
         out = {}
-        for i, args in enumerate(runs):
+        for i, (path, args) in enumerate(runs):
             d = tmp_path / ("%s%d" % (tag, i))
-            assert main([args[0], "--map", mp, "--out", str(d)]
+            assert main([args[0], "--map", path, "--out", str(d)]
                         + args[1:]) == 0
             for name in os.listdir(d):
                 out[i, name] = (d / name).read_bytes()
@@ -277,6 +279,14 @@ def test_exit_code_config_errors(tmp_path):
         spec = MapSpec(tuple(BranchSpec(d, e) for d, e in branches))
         assert main(["analyze", "--map", _map_file(tmp_path, spec, name),
                      "--out", str(tmp_path)]) == 2
+    # lateral values at the cut 0.05 that round one ulp above the ambient
+    # end 0.1 fail at load, not in the middle of the run
+    e = "4*x*(0.1 - x)/0.1"
+    spec = MapSpec((BranchSpec((0.0, 0.05), e), BranchSpec((0.05, 0.1), e)),
+                   (0.0, 0.1))
+    assert main(["analyze", "--map",
+                 _map_file(tmp_path, spec, "overshoot.json"),
+                 "--out", str(tmp_path)]) == 2
     # unknown command / missing required flag come back as 2, not a crash
     assert main(["frobnicate"]) == 2
     assert main(["analyze"]) == 2

@@ -13,6 +13,7 @@ from intervaldyn.errors import (
 from intervaldyn.orbits import omega_cover
 from intervaldyn.rng import SplitMix64
 from toymodel import entry_ladder
+import mapdefs
 import refloops
 
 HALF = Fraction(1, 2)
@@ -397,6 +398,66 @@ def test_expansion_neutral_core(neutral_expansion):
     # honestly infinite with delta' recorded as 0
     assert d["delta_prime"] == 0.0
     assert rep.distortion_Gamma == math.inf
+
+
+INDUCE_RETURN_MAPS = {
+    # every branch of time 1; the flanks of the neutral core
+    "neutral": (mapdefs.neutral, (0.0, 1.0), 3),
+    # branch times up to 12
+    "logistic4": (lambda: mapdefs.logistic(4.0), (0.25, 0.75), 12),
+    # gaps between the branches, so walks leave them
+    "logistic4_gaps": (lambda: mapdefs.logistic(4.0), (0.3, 0.45), 12),
+    # dyadic starts hit the break 0.5 within a branch's time
+    "doubling": (mapdefs.doubling, (0.0, 0.5), 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDUCE_RETURN_MAPS))
+def test_induce_matches_reference_loops(name):
+    make, J, t_max = INDUCE_RETURN_MAPS[name]
+    m = make()
+    ret = induction.first_return(m, J, t_max)
+    lo, hi = m.ambient
+    j_lo, j_hi = J
+    rng = SplitMix64(len(name))
+    starts = [rng.uniform(j_lo, j_hi) for _ in range(40)]
+    for b in ret.branches:
+        starts += [b.lo, b.hi, 0.5 * (b.lo + b.hi),
+                   math.nextafter(b.lo, b.hi), math.nextafter(b.hi, b.lo)]
+    starts += m.exceptional + [lo, hi, lo - 0.5, hi + 0.5,
+                               math.nextafter(hi, math.inf), float("nan")]
+    stops = ((0.0, 0.0), J, (j_lo, j_lo + (j_hi - j_lo) / 8))
+    states = set()
+    for x in starts:
+        for k in (0, 1, 2, 5):
+            for cap in (1, 7, induction._FLANK_CAP):
+                for stop in stops:
+                    args = (x, k) + stop + (cap,)
+                    got = ret.induce(*args)
+                    want = refloops.induced_walk(ret, *args)
+                    assert (got[0], repr(got[1]), repr(got[2]), got[3]) \
+                        == (want[0], repr(want[1]), repr(want[2]),
+                            want[3]), args
+                    states.add(got[0])
+        got = ret.induce(x, 2, 0.0, 0.0)
+        got = got[1] - x if got[0] == "done" else None
+        assert repr(got) == repr(refloops.f2_gap(ret, x))
+    assert states == {"aborted", "unreturned", "returned", "done"}
+    # whole flank probes, from the first random starts to J's ends; a
+    # return derivative beyond the float range overflows in both
+    for x in starts[:4]:
+        for flank in ((j_lo, x), (x, j_hi)):
+            assert (_stats_outcome(induction._flank_stats, ret, flank)
+                    == _stats_outcome(refloops.flank_stats, ret, flank))
+    if name == "logistic4":
+        assert max(b.time for b in ret.branches) == 12
+
+
+def _stats_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except OverflowError as e:
+        return "OverflowError", str(e)
 
 
 def test_expansion_iterated_soundness(doubling):

@@ -62,6 +62,17 @@ def test_image_and_derivative_validation():
         build_map(MapSpec((BranchSpec((0.0, 0.5), "3*x"),
                            BranchSpec((0.5, 1.0), "x"))))
     assert ei.value.witness is not None
+    # the grid images stay inside (0, 0.1), but the closure rounds to
+    # 0.10000000000000002 at the cut
+    e = "4*x*(0.1 - x)/0.1"
+    with pytest.raises(BranchImageError) as ei:
+        build_map(MapSpec((BranchSpec((0.0, 0.05), e),
+                           BranchSpec((0.05, 0.1), e)), (0.0, 0.1)))
+    assert ei.value.witness == 0.05
+    assert "0.10000000000000002" in str(ei.value)
+    # defined on the whole grid, singular at the ambient end 0
+    with pytest.raises(BranchImageError, match="undefined at domain end"):
+        build_map(MapSpec((BranchSpec((0.0, 1.0), "0.5*x*(1 - log(x))"),)))
     with pytest.raises(ZeroDerivativeError):
         # cubic inflection placed exactly on a validation grid midpoint
         build_map(MapSpec((
@@ -153,13 +164,54 @@ def test_ladder_agrees_with_branches(name):
     # InducedMap.eval on induced maps whose branches are the map's own, at
     # return times 0, 1 and 5
     for t in (0, 1, 5):
-        ind = induction.InducedMap(
-            (lo, hi), "first_return",
-            [induction.InducedBranch(b.lo, b.hi, t, 1, lo, hi)
-             for b in m.branches], t, 1.0, [], m, (lo, hi))
+        ind = _own_branches(m, t)
         for x in starts + dyadic + m.exceptional + bad:
             assert (_outcome(ind.eval, x)
                     == _outcome(refloops.induced_eval, ind, x))
+    _assert_induce_matches_reference(m, starts + dyadic + m.exceptional + bad)
+
+
+def _own_branches(m, t):
+    lo, hi = m.ambient
+    return induction.InducedMap(
+        (lo, hi), "first_return",
+        [induction.InducedBranch(b.lo, b.hi, t, 1, lo, hi)
+         for b in m.branches], t, 1.0, [], m, (lo, hi))
+
+
+def _assert_induce_matches_reference(m, starts):
+    """`InducedMap.induce` against the loop it replaced, outcome for
+    outcome, on the map's own branches at return times 0, 1 and 5; on one
+    branch three ambient widths wide, at times 1 and 2, whose steps meet
+    the cuts and leave the ambient interval inside the branch; and on two
+    overlapping branches of times 1 and 2, where `branch_at` takes the
+    second."""
+    lo, hi = m.ambient
+    w = hi - lo
+    maps = [_own_branches(m, t) for t in (0, 1, 5)]
+    for table in ([(lo - w, hi + w, 1)], [(lo - w, hi + w, 2)],
+                  [(lo, lo + 0.6 * w, 1), (lo + 0.4 * w, hi, 2)]):
+        maps.append(induction.InducedMap(
+            (lo, hi), "first_return",
+            [induction.InducedBranch(a, b, t, 1, lo, hi)
+             for a, b, t in table], 2, 1.0, [], m, (lo, hi)))
+    stops = ((0.0, 0.0), (lo + w / 3, hi - w / 3))
+    for ind in maps:
+        for x in starts:
+            for k, cap in ((0, 7), (1, 1), (2, 7), (3, 1), (5, math.inf)):
+                for stop in stops:
+                    args = (x, k) + stop + (cap,)
+                    assert (_induce_outcome(ind.induce, *args)
+                            == _induce_outcome(refloops.induced_walk, ind,
+                                               *args)), (ind.branches, args)
+
+
+def _induce_outcome(fn, *args):
+    try:
+        state, x, logsum, fsteps = fn(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return state, repr(x), repr(logsum), fsteps
 
 
 def _outcome(fn, *args):
@@ -173,7 +225,6 @@ def _outcome(fn, *args):
 def _assert_shapes_match_reference(m, x):
     assert m.compose(x, 0) is x
     assert m.compose_deriv(x, 0) == (x, 0.0, 1)
-    assert repr(induction._safe_eval(m, x, 0, 1e-3)) == repr(x)
     for n in (1, 2, 7, 300):
         want_y = _outcome(refloops.compose, m, x, n)
         want_d = _outcome(refloops.deriv_product, m, x, n)
@@ -186,9 +237,15 @@ def _assert_shapes_match_reference(m, x):
         assert _outcome(m.compose_deriv, x, n) == want
         assert (_outcome(induction._induced_step, m, x, n)
                 == _outcome(refloops.induced_step, m, x, n))
+    # pull-backs whose first midpoint is x, in either orientation
+    lo, hi = m.ambient
+    for n in (0, 1, 2, 7, 300):
         for span in (1e-3, 0.25):
-            assert (_outcome(induction._safe_eval, m, x, n, span)
-                    == _outcome(refloops.safe_eval, m, x, n, span))
+            for ends in ((lo, hi), (hi, lo)):
+                args = (m, x - span, x + span, n) + ends + (
+                    lo + (hi - lo) / 3,)
+                assert (_outcome(induction._pull, *args)
+                        == _outcome(refloops.pull, *args))
 
 
 def test_compose_shapes_at_hits_and_zero_derivative(doubling):
@@ -220,6 +277,7 @@ def test_compose_shapes_at_hits_and_zero_derivative(doubling):
     for m in (cube, both):
         for x in (0.3, 0.1, 0.7):
             _assert_shapes_match_reference(m, x)
+        _assert_induce_matches_reference(m, [0.3, 0.1, 0.7])
 
 
 def _evals(m, x, n):

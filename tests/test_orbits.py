@@ -114,8 +114,9 @@ def test_resolution_guard_is_shared(logistic4):
             with pytest.raises(ConfigError, match="resolution"):
                 call()
     assert omega_cover(logistic4, 0.3, 10, 10, 1e-6).cells
-    assert basin_sample(logistic4, 1, 0, BasinConfig(
-        burn_in=10, length=10, resolution=1e-6))[0].cover.cells
+    assert orbits._bins_to_cells(basin_sample(logistic4, 1, 0, BasinConfig(
+        burn_in=10, length=10, resolution=1e-6))[0].bins,
+        *logistic4.ambient, 1e-6)
 
 
 def test_omega_cover_degenerate_on_binary64_collapse(tent):
@@ -303,7 +304,7 @@ def _ref_sample_one(m, idx, x0, cfg):
         for i in range(cfg.burn_in):
             x = m.eval(x)
     except ExceptionalPointError:
-        return RawPointRecord(idx, x0, None, None, i)
+        return RawPointRecord(idx, x0, None, i)
     lo, hi = m.ambient
     res = cfg.resolution
     nbins = max(1, math.ceil((hi - lo) / res - 1e-9))
@@ -318,7 +319,6 @@ def _ref_sample_one(m, idx, x0, cfg):
         except ExceptionalPointError:
             terminated = cfg.burn_in + i
             break
-    cover = IntervalCover(res, orbits._bins_to_cells(ks, lo, hi, res))
     periodic = None
     if terminated is None and len(tail) > 1:
         for p in range(1, min(cfg.periodic_scan, len(tail) - 1) + 1):
@@ -332,7 +332,7 @@ def _ref_sample_one(m, idx, x0, cfg):
                     periodic = {"period": p, "points": tail[:p],
                                 "multiplier": mult}
                 break
-    return RawPointRecord(idx, x0, cover, periodic, terminated,
+    return RawPointRecord(idx, x0, periodic, terminated,
                           array("q", sorted(ks)))
 
 
