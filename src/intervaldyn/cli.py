@@ -14,6 +14,7 @@ included), 3 computation failures.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,7 +170,11 @@ def cmd_plot(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process.  Each subcommand
+    stores the name of its `cmd_*` function, which `main` looks up at call
+    time, so a replaced `cmd_*` is the one that runs."""
     p = argparse.ArgumentParser(
         prog="intervaldyn",
         description="piecewise-smooth interval dynamics toolkit")
@@ -184,7 +189,7 @@ def _build_parser():
                         "and periodic points")
     common(sp)
     sp.add_argument("--period-max", type=int, default=8)
-    sp.set_defaults(fn=cmd_analyze)
+    sp.set_defaults(fn="cmd_analyze")
 
     sp = sub.add_parser("classify", help="attractor classification")
     common(sp)
@@ -192,7 +197,7 @@ def _build_parser():
     sp.add_argument("--burn-in", type=int, default=2000)
     sp.add_argument("--length", type=int, default=1000)
     sp.add_argument("--resolution", type=float, default=1e-3)
-    sp.set_defaults(fn=cmd_classify)
+    sp.set_defaults(fn="cmd_classify")
 
     sp = sub.add_parser("return-map", help="first-return map analysis")
     common(sp)
@@ -200,7 +205,7 @@ def _build_parser():
     sp.add_argument("--t-max", type=int, default=20)
     sp.add_argument("--refine", type=int, default=0,
                     help="also refine the partition to this depth")
-    sp.set_defaults(fn=cmd_return_map)
+    sp.set_defaults(fn="cmd_return_map")
 
     sp = sub.add_parser("mane", help="expansion certificate")
     common(sp)
@@ -210,13 +215,13 @@ def _build_parser():
     sp.add_argument("--period-max", type=int, default=8)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--nmax", type=int, default=200)
-    sp.set_defaults(fn=cmd_mane)
+    sp.set_defaults(fn="cmd_mane")
 
     sp = sub.add_parser("plot", help="cobweb plot and orbit table")
     common(sp)
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--n", type=int, default=60)
-    sp.set_defaults(fn=cmd_plot)
+    sp.set_defaults(fn="cmd_plot")
     return p
 
 
@@ -227,7 +232,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (_UsageError, ConfigError, UNotCoveringError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -121,7 +121,7 @@ class InducedMap:
         if b.time == 0:
             return 1.0
         log_abs, _ = self.map.deriv_product(x, b.time)
-        return math.exp(log_abs)
+        return _exp(log_abs)
 
     def to_dict(self):
         return {
@@ -169,6 +169,15 @@ class PartitionCell:
 
 # ---------------------------------------------------------------------------
 # shared numerics
+
+
+def _exp(lg):
+    """exp of a log-derivative (or of a difference of two): inf where it
+    overflows the float range, exp itself everywhere else."""
+    try:
+        return math.exp(lg)
+    except OverflowError:
+        return math.inf
 
 
 def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
@@ -544,7 +553,7 @@ def measure_distortion(ind, probes=16):
                 continue
             vals.append(log_abs)
         if len(vals) >= 2:
-            worst = max(worst, math.exp(max(vals) - min(vals)))
+            worst = max(worst, _exp(max(vals) - min(vals)))
     return worst
 
 
@@ -591,7 +600,7 @@ def _flank_stats(ind, flank):
         state, _, logsum, fsteps = ind.induce(x, _FLANK_CAP + 1, lo, hi,
                                               _FLANK_CAP)
         if state == "returned":
-            returned.append(math.exp(logsum))
+            returned.append(_exp(logsum))
             max_steps = max(max_steps, fsteps)
         elif state == "unreturned":
             unreturned += 1
@@ -654,7 +663,7 @@ def expansion_analysis(ind, m):
                 log_abs, _ = m.deriv_product(x, br.time)
             except IntervalDynError:
                 continue
-            vals.append(math.exp(log_abs))
+            vals.append(_exp(log_abs))
         if vals:
             per_branch.append((min(vals), br))
     if not per_branch:
@@ -810,6 +819,6 @@ def refine_partition(ind, n):
                 total += log_abs
             else:
                 logs.append(total)
-        distortion = math.exp(max(logs) - min(logs)) if len(logs) >= 2 else 1.0
+        distortion = _exp(max(logs) - min(logs)) if len(logs) >= 2 else 1.0
         cells.append(PartitionCell(c_lo, c_hi, itin, distortion))
     return cells

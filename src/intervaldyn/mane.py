@@ -4,8 +4,9 @@ Orbits that avoid a neighborhood U of the break/critical points are
 expected to pick up derivative growth |Df^n(x)| > C * lambda^n with
 lambda > 1, provided no non-expanding periodic orbit survives outside U.
 This module checks the periodic obstruction up to a period horizon,
-harvests avoid-segments from seeded orbits, and fits (C, lambda)
-empirically; growth_test probes a single starting point.
+harvests avoid-segments from seeded orbits on the compiled
+`PiecewiseMap.harvest` ladder shape, and fits (C, lambda) empirically;
+growth_test probes a single starting point.
 """
 
 import math
@@ -124,47 +125,15 @@ def growth_test(m, x, avoid, n_max):
 
 def harvest_segments(m, U, samples, n_max, seed):
     """Maximal avoid-U runs of seeded orbits, sliced at n_max steps.
-    Each sample orbit is followed for 4*n_max iterates; returns a list of
+    Each sample orbit is followed for 4*n_max iterates by one call of the
+    compiled `PiecewiseMap.harvest` shape; returns a list of
     (start, n, log|Df^n(start)|)."""
     rng = SplitMix64(seed)
     lo, hi = m.ambient
     segs = []
+    harvest, put = m.harvest, segs.append
     for _ in range(samples):
-        x = rng.uniform(lo, hi)
-        run_start = None
-        run_len = 0
-        run_log = 0.0
-
-        def close():
-            if run_len >= 1:
-                segs.append((run_start, run_len, run_log))
-
-        for _k in range(4 * n_max):
-            if _inside(x, U):
-                close()
-                run_len = 0
-                run_log = 0.0
-                try:
-                    x = m.eval(x)
-                except IntervalDynError:
-                    break
-                continue
-            try:
-                nxt, d = m.step(x)
-            except IntervalDynError:
-                break
-            if d == 0.0:
-                break
-            if run_len == 0:
-                run_start = x
-            run_log += math.log(abs(d))
-            run_len += 1
-            if run_len == n_max:
-                close()
-                run_len = 0
-                run_log = 0.0
-            x = nxt
-        close()
+        harvest(rng.uniform(lo, hi), 4 * n_max, n_max, U, put)
     return segs
 
 

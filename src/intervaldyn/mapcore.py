@@ -34,13 +34,16 @@ pull-backs of cylinder refinement, and the induced-map evaluation, run on
 derivative run on `compose_deriv`; loops that stop on a condition of their
 own run on `eval` and `step`.
 
-A sixth shape, `PiecewiseMap.induce`, walks an induced map, given as
-tables of branch domains and return times, until an iterate returns into
-an interval: the neutral-core flank probes and the F^2 scan of
-`induction.expansion_analysis` run on it, through `InducedMap.induce`.  It
-is compiled on first use, not in `build_map`: only return-map analysis
-needs it, and compiling its source, which holds every arm twice, would
-make every map build slower.
+Two more shapes on the same arms are compiled on first access, not in
+`build_map`, because each serves one analysis and compiling its source
+would make every map build slower.  The sixth, `PiecewiseMap.induce`,
+walks an induced map, given as tables of branch domains and return times,
+until an iterate returns into an interval: the neutral-core flank probes
+and the F^2 scan of `induction.expansion_analysis` run on it, through
+`InducedMap.induce`; its source holds every arm twice.  The seventh,
+`PiecewiseMap.harvest`, follows one orbit and reports its maximal runs
+outside a set U, with their log-derivatives: `mane.harvest_segments` runs
+one call of it per sample.
 """
 
 import math
@@ -140,11 +143,11 @@ def _midgrid(a, b, n):
 
 def _compile_ladders(branches, ambient, exceptional):
     """Compile the branch lookup and the branch formulas together into five
-    shapes, and a sixth on demand: `f(x)`; `step(x) = (f(x), Df(x))`;
+    shapes, and two more on demand: `f(x)`; `step(x) = (f(x), Df(x))`;
     `walk(x, n)`, the list of iterates x_1 .. x_n; `compose(x, n) = f^n(x)`;
     and
     `compose_deriv(x, n) = (f^n(x), sum of log|Df|, product of the signs
-    of Df)`.  One arm per branch, shared by the five shapes: one comparison
+    of Df)`.  One arm per branch, shared by all the shapes: one comparison
     per cut, where every interior cut is exceptional and open on both sides
     and the ambient ends are closed.  Every other x (NaN too) falls through
     to one raise.  At an exceptional point `walk` instead returns early,
@@ -164,9 +167,15 @@ def _compile_ladders(branches, ambient, exceptional):
     its source holds every arm twice, and only return-map analysis uses
     it: compiled with the other five it made every `build_map` slower
     (logistic, fastest of 500: 1.2 to 1.8 ms, 2-vCPU Xeon), and a
-    perfbench `param_sweep` round 6% slower.  The last element returned is
-    therefore a function that compiles it, which `PiecewiseMap.induce`
-    calls on first access."""
+    perfbench `param_sweep` round 6% slower.
+
+    The seventh shape, `harvest` (see `PiecewiseMap.harvest`), is the
+    per-sample loop of `mane.harvest_segments`; only `mane` uses it, and
+    compiling it takes 0.5 to 0.7 ms (logistic and the neutral fixture,
+    fastest of 200, 2-vCPU Xeon), which every map build would pay.
+
+    The last element returned maps 'induce' and 'harvest' to functions
+    that compile them; `PiecewiseMap` calls each on first access."""
     hi = ambient[1]
     exc = frozenset(exceptional)
 
@@ -250,6 +259,37 @@ def _compile_ladders(branches, ambient, exceptional):
                   "    return 'done', x, s, n"])
         return compile_shapes(src, ("induce",))[0]
 
+    def compile_harvest():
+        # r, s and x0 are the open run's length, log sum and start; the
+        # for-else runs the outside-U arms when no component holds x, and
+        # a break out of the step loop is where step/eval would raise
+        src = (["def harvest(x, k, n_max, U, put):",
+                "    r = 0",
+                "    s = 0.0",
+                "    x0 = x",
+                "    for _ in range(k):",
+                "        for a, b in U:",
+                "            if a < x < b:",
+                "                break",
+                "        else:"]
+               + ladder("d = {df}; y = {f}\n"
+                        "if d == 0.0: break\n"
+                        "if not r: x0 = x\n"
+                        "s += _m.log(abs(d))\n"
+                        "r += 1\n"
+                        "if r == n_max: put((x0, r, s)); r = 0; s = 0.0\n"
+                        "x = y; continue", "            ")
+               + ["            break",
+                  "        if r:",
+                  "            put((x0, r, s))",
+                  "            r = 0",
+                  "            s = 0.0"]
+               + ladder("x = {f}; continue", "        ")
+               + ["        break",
+                  "    if r:",
+                  "        put((x0, r, s))"])
+        return compile_shapes(src, ("harvest",))[0]
+
     src = (["def f(x):"] + ladder("return {f}", "    ")
            + ["    raise _miss(x)", "def step(x):"]
            + ladder("d = {df}; return {f}, d", "    ")
@@ -266,14 +306,16 @@ def _compile_ladders(branches, ambient, exceptional):
                   "x = y; continue",
                   "raise _hit(i, x)", "return x, s, sg"))
     return compile_shapes(src, ("f", "step", "walk", "compose",
-                                "compose_deriv")) + (compile_induce,)
+                                "compose_deriv")) + (
+        {"induce": compile_induce, "harvest": compile_harvest},)
 
 
 class PiecewiseMap:
     """Compiled piecewise map, made by `build_map` from branches sorted by
     domain.  `exceptional` is the set of undefined points: every interior
     branch cut.  `eval`, `step`, `walk`, `compose` and `compose_deriv` are
-    the stepping path (see the module docstring)."""
+    the stepping path; `induce` and `harvest` are compiled on first access
+    (see the module docstring)."""
 
     def __init__(self, branches, ambient, lateral_values, orders):
         self.branches = branches
@@ -283,7 +325,7 @@ class PiecewiseMap:
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
         (self._eval, self._step, self._walk, self._compose,
-         self._compose_deriv, self._compile_induce) = _compile_ladders(
+         self._compose_deriv, self._lazy) = _compile_ladders(
             self.branches, ambient, self.exceptional)
 
     # -- lookup ------------------------------------------------------------
@@ -353,7 +395,21 @@ class PiecewiseMap:
         step, and the f-steps include its time once it has a branch.
         Errors of the branch formulas propagate, as in `compose_deriv`.
         The loop is compiled on first access."""
-        return self._compile_induce()
+        return self._lazy["induce"]()
+
+    @cached_property
+    def harvest(self):
+        """`harvest(x, k, n_max, U, put)` follows the orbit of x for k
+        iterates in one compiled loop and calls put((start, n, log|Df^n|
+        (start))) for each maximal run of iterates outside U, cut every
+        n_max steps.  An iterate lies in U when a < x < b for some (a, b)
+        in U.  Inside U the run is closed and f applied; outside, Df is
+        evaluated before f, the walk stops where Df = 0, and log|Df| is
+        added to the run.  The walk also stops where `step` or `eval`
+        would raise (an exceptional point, outside the ambient interval,
+        NaN), and closes the open run at its end.  Errors of the branch
+        formulas propagate.  The loop is compiled on first access."""
+        return self._lazy["harvest"]()
 
     def deriv(self, x):
         return self.branch_at(x).df(x)

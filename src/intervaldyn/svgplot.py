@@ -33,8 +33,9 @@ def _text(x, y, s, size=11, fill="#222"):
             % (x, y, size, fill, escape(s)))
 
 
-def _polyline(pts, stroke, width=1.0):
-    coords = " ".join("%.2f,%.2f" % (x, y) for x, y in pts)
+def _polyline(flat, stroke, width=1.0):
+    """A polyline through the points of the flat list [x0, y0, x1, ...]."""
+    coords = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
     return ('<polyline points="%s" fill="none" stroke="%s" '
             'stroke-width="%.2f"/>' % (coords, stroke, width))
 
@@ -74,32 +75,38 @@ def cover_strips(reports, ambient, path=None):
 
 
 def _graph_frame(lo, hi, size, margin):
-    span = hi - lo
-    scale = (size - 2 * margin) / span
-
-    def sx(x):
-        return margin + (x - lo) * scale
-
-    def sy(y):
-        return size - margin - (y - lo) * scale
-
+    """The frame and diagonal of a graph over [lo, hi]^2, and its view
+    (margin, lo, scale, bottom): a point (x, y) is drawn at (margin +
+    (x - lo) * scale, bottom - (y - lo) * scale)."""
+    scale = (size - 2 * margin) / (hi - lo)
+    bottom = size - margin
     frame = [
         _rect(margin, margin, size - 2 * margin, size - 2 * margin,
               "none", ' stroke="#444" stroke-width="1"'),
-        _line(sx(lo), sy(lo), sx(hi), sy(hi), "#bbb", dash="4,3"),
+        _line(margin, bottom, margin + (hi - lo) * scale,
+              bottom - (hi - lo) * scale, "#bbb", dash="4,3"),
     ]
-    return sx, sy, frame
+    return (margin, lo, scale, bottom), frame
 
 
-def _branch_polyline(f, lo, hi, sx, sy, color, samples=160):
-    pts = []
+def _branch_polyline(m, t, lo, hi, top, slow, view, color, samples=160):
+    """The graph of f^t on (lo, hi), sampled at samples + 1 points.  A
+    sample x with lo < x < top takes one `m.compose` call, any other
+    slow(x); one where either finds an undefined point or raises
+    `IntervalDynError` is left out."""
+    margin, base, scale, bottom = view
+    compose = m.compose
+    flat = []
+    w = hi - lo
     for j in range(samples + 1):
-        x = lo + (hi - lo) * (j + 0.5) / (samples + 1.0)
+        x = lo + w * (j + 0.5) / (samples + 1.0)
         try:
-            pts.append((sx(x), sy(f(x))))
+            y = compose(x, t) if lo < x < top else slow(x)
         except IntervalDynError:
             continue
-    return _polyline(pts, color, 1.4) if len(pts) >= 2 else ""
+        if y is not None:
+            flat += (margin + (x - base) * scale, bottom - (y - base) * scale)
+    return _polyline(flat, color, 1.4) if len(flat) >= 4 else ""
 
 
 def cobweb(m, orbit, n, path=None):
@@ -108,29 +115,33 @@ def cobweb(m, orbit, n, path=None):
     shorter."""
     lo, hi = m.ambient
     size, margin = 480, 40.0
-    sx, sy, body = _graph_frame(lo, hi, size, margin)
+    view, body = _graph_frame(lo, hi, size, margin)
     for i, br in enumerate(m.branches):
-        body.append(_branch_polyline(m.eval, br.lo, br.hi, sx, sy,
-                                     _PALETTE[i % len(_PALETTE)]))
-    pts = [(sx(orbit[0]), sy(lo))]
+        body.append(_branch_polyline(m, 1, br.lo, br.hi, br.hi, m.eval,
+                                     view, _PALETTE[i % len(_PALETTE)]))
+    _, _, scale, bottom = view
+    flat = [margin + (orbit[0] - lo) * scale, bottom]
     for x, y in zip(orbit, orbit[1:]):
-        pts.append((sx(x), sy(y)))
-        pts.append((sx(y), sy(y)))
-    body.append(_polyline(pts, "#222", 0.9))
+        sy = bottom - (y - lo) * scale
+        flat += (margin + (x - lo) * scale, sy, margin + (y - lo) * scale, sy)
+    body.append(_polyline(flat, "#222", 0.9))
     body.append(_text(margin, size - 12.0, "x0=%g  n=%d" % (orbit[0], n)))
     return _svg(size, size, body, path)
 
 
 def return_map_graph(ind, path=None):
     """Graphs of every branch of an induced map over its base interval,
-    colored by return time."""
+    colored by return time.  A sample below the branch's clipped upper end
+    `ind._his[i]` lies in no other branch, so f^time gives its value;
+    `ind.eval` takes the others, which only overlapping branches have."""
     lo, hi = ind.base
     size, margin = 480, 40.0
-    sx, sy, body = _graph_frame(lo, hi, size, margin)
+    view, body = _graph_frame(lo, hi, size, margin)
     tmax = max((b.time for b in ind.branches), default=1)
-    for br in ind.branches:
+    for br, top in zip(ind.branches, ind._his):
         color = _PALETTE[br.time % len(_PALETTE)]
-        body.append(_branch_polyline(ind.eval, br.lo, br.hi, sx, sy, color))
+        body.append(_branch_polyline(ind.map, br.time, br.lo, br.hi, top,
+                                     ind.eval, view, color))
     body.append(_text(margin, size - 12.0,
                       "%d branches, deepest time %d"
                       % (len(ind.branches), tmax)))

@@ -1,6 +1,7 @@
 """Reference orbit loops: the per-step Python loops that the compiled
-`compose`, `compose_deriv` and `induce` ladder shapes replaced, kept
-verbatim so the tests can check the shapes against them bit for bit.
+`compose`, `compose_deriv`, `induce` and `harvest` ladder shapes replaced,
+kept verbatim so the tests can check the shapes against them bit for bit,
+and the SVG graphs that sampled every point through `eval`.
 
 `install(monkeypatch)` swaps every one of them back into the package and
 returns a dict that counts the calls each reference receives.
@@ -8,7 +9,7 @@ returns a dict that counts the calls each reference receives.
 
 import math
 
-from intervaldyn import cli, induction, mapcore
+from intervaldyn import cli, induction, mane, mapcore, svgplot
 from intervaldyn.errors import (
     ConfigError,
     ExceptionalPointError,
@@ -16,6 +17,7 @@ from intervaldyn.errors import (
     OrbitHitsExceptionalError,
     ZeroDerivativeError,
 )
+from intervaldyn.rng import SplitMix64
 
 
 def deriv_product(m, x, n):
@@ -190,6 +192,55 @@ def induced_walk(ind, x, k, lo, hi, cap=math.inf):
     return "done", x, logsum, fsteps
 
 
+def harvest_from(m, U, x, n_max, segs):
+    """One sample of `mane.harvest_segments`: the avoid-U runs of the
+    orbit of x over 4*n_max iterates, appended to segs."""
+    run_start = None
+    run_len = 0
+    run_log = 0.0
+
+    def close():
+        if run_len >= 1:
+            segs.append((run_start, run_len, run_log))
+
+    for _k in range(4 * n_max):
+        if mane._inside(x, U):
+            close()
+            run_len = 0
+            run_log = 0.0
+            try:
+                x = m.eval(x)
+            except IntervalDynError:
+                break
+            continue
+        try:
+            nxt, d = m.step(x)
+        except IntervalDynError:
+            break
+        if d == 0.0:
+            break
+        if run_len == 0:
+            run_start = x
+        run_log += math.log(abs(d))
+        run_len += 1
+        if run_len == n_max:
+            close()
+            run_len = 0
+            run_log = 0.0
+        x = nxt
+    close()
+
+
+def harvest_segments(m, U, samples, n_max, seed):
+    """`mane.harvest_segments`: one `step` or `eval` per iterate."""
+    rng = SplitMix64(seed)
+    lo, hi = m.ambient
+    segs = []
+    for _ in range(samples):
+        harvest_from(m, U, rng.uniform(lo, hi), n_max, segs)
+    return segs
+
+
 def refine_partition(ind, n):
     """`induction.refine_partition` without the pull-back memo: two
     `_branch_pull` calls per overlapping (branch, cell) pair."""
@@ -239,6 +290,79 @@ def refine_partition(ind, n):
     return cells
 
 
+def _graph_frame(lo, hi, size, margin):
+    """`svgplot._graph_frame`: screen transforms as two closures."""
+    span = hi - lo
+    scale = (size - 2 * margin) / span
+
+    def sx(x):
+        return margin + (x - lo) * scale
+
+    def sy(y):
+        return size - margin - (y - lo) * scale
+
+    frame = [
+        svgplot._rect(margin, margin, size - 2 * margin, size - 2 * margin,
+                      "none", ' stroke="#444" stroke-width="1"'),
+        svgplot._line(sx(lo), sy(lo), sx(hi), sy(hi), "#bbb", dash="4,3"),
+    ]
+    return sx, sy, frame
+
+
+def _polyline(pts, stroke, width=1.0):
+    """`svgplot._polyline`: one `%` per point."""
+    coords = " ".join("%.2f,%.2f" % (x, y) for x, y in pts)
+    return ('<polyline points="%s" fill="none" stroke="%s" '
+            'stroke-width="%.2f"/>' % (coords, stroke, width))
+
+
+def _branch_polyline(f, lo, hi, sx, sy, color, samples=160):
+    """`svgplot._branch_polyline`: every sample through f."""
+    pts = []
+    for j in range(samples + 1):
+        x = lo + (hi - lo) * (j + 0.5) / (samples + 1.0)
+        try:
+            pts.append((sx(x), sy(f(x))))
+        except IntervalDynError:
+            continue
+    return _polyline(pts, color, 1.4) if len(pts) >= 2 else ""
+
+
+def cobweb(m, orbit, n, path=None):
+    """`svgplot.cobweb`: branch samples through `eval`."""
+    lo, hi = m.ambient
+    size, margin = 480, 40.0
+    sx, sy, body = _graph_frame(lo, hi, size, margin)
+    for i, br in enumerate(m.branches):
+        body.append(_branch_polyline(m.eval, br.lo, br.hi, sx, sy,
+                                     svgplot._PALETTE[i % len(
+                                         svgplot._PALETTE)]))
+    pts = [(sx(orbit[0]), sy(lo))]
+    for x, y in zip(orbit, orbit[1:]):
+        pts.append((sx(x), sy(y)))
+        pts.append((sx(y), sy(y)))
+    body.append(_polyline(pts, "#222", 0.9))
+    body.append(svgplot._text(margin, size - 12.0,
+                              "x0=%g  n=%d" % (orbit[0], n)))
+    return svgplot._svg(size, size, body, path)
+
+
+def return_map_graph(ind, path=None):
+    """`svgplot.return_map_graph`: branch samples through `InducedMap.eval`
+    (`branch_at`, then `compose`)."""
+    lo, hi = ind.base
+    size, margin = 480, 40.0
+    sx, sy, body = _graph_frame(lo, hi, size, margin)
+    tmax = max((b.time for b in ind.branches), default=1)
+    for br in ind.branches:
+        color = svgplot._PALETTE[br.time % len(svgplot._PALETTE)]
+        body.append(_branch_polyline(ind.eval, br.lo, br.hi, sx, sy, color))
+    body.append(svgplot._text(margin, size - 12.0,
+                              "%d branches, deepest time %d"
+                              % (len(ind.branches), tmax)))
+    return svgplot._svg(size, size, body, path)
+
+
 def install(monkeypatch):
     """Patch the reference loops in where the package looks them up."""
     calls = {}
@@ -265,4 +389,9 @@ def install(monkeypatch):
     refine = counted("refine_partition", refine_partition)
     monkeypatch.setattr(induction, "refine_partition", refine)
     monkeypatch.setattr(cli, "refine_partition", refine)
+    monkeypatch.setattr(mane, "harvest_segments",
+                        counted("harvest_segments", harvest_segments))
+    monkeypatch.setattr(svgplot, "cobweb", counted("cobweb", cobweb))
+    monkeypatch.setattr(svgplot, "return_map_graph",
+                        counted("return_map_graph", return_map_graph))
     return calls

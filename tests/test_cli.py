@@ -13,7 +13,7 @@ import pytest
 import mapdefs
 import intervaldyn
 import refloops
-from intervaldyn import serialize
+from intervaldyn import cli, induction, serialize, svgplot
 from intervaldyn.cli import main
 from intervaldyn.errors import ConfigError
 from intervaldyn.mapcore import BranchSpec, MapSpec, mapspec_to_dict
@@ -213,14 +213,18 @@ def test_plot_truncates_on_exceptional_hit(tmp_path):
 
 def test_artifacts_byte_identical_with_reference_loops(tmp_path,
                                                        monkeypatch):
-    # the compiled compose and induce shapes and the pull-back memo change
-    # no output byte against the per-step loops they replaced
+    # the compiled compose, induce and harvest shapes, the pull-back memo
+    # and the SVG graphs change no output byte against the per-step loops
+    # they replaced
     mp = _map_file(tmp_path, mapdefs.logistic_spec(4.0), "l4.json")
     neutral = _map_file(tmp_path, mapdefs.neutral_spec(), "neutral.json")
     runs = ((mp, ["return-map", "--j", "0.25,0.75", "--t-max", "12",
                   "--refine", "1"]),
             (mp, ["analyze", "--period-max", "6"]),
-            (neutral, ["return-map", "--j", "0,1", "--t-max", "3"]))
+            (neutral, ["return-map", "--j", "0,1", "--t-max", "3"]),
+            (mp, ["mane", "--avoid", "0.4,0.6", "--nmax", "30",
+                  "--samples", "200"]),
+            (mp, ["plot", "--x0", "0.137", "--n", "40"]))
 
     def artifacts(tag):
         out = {}
@@ -240,6 +244,58 @@ def test_artifacts_byte_identical_with_reference_loops(tmp_path,
     assert sorted(new) == sorted(ref)
     for key in new:
         assert new[key] == ref[key], key
+
+
+def _overlapping(m, table):
+    lo, hi = m.ambient
+    return induction.InducedMap(
+        (lo, hi), "first_return",
+        [induction.InducedBranch(a, b, t, 1, lo, hi) for a, b, t in table],
+        2, 1.0, [], m, (lo, hi))
+
+
+def test_svg_graphs_byte_identical_with_reference():
+    # return maps found by cylinder refinement, then hand-made induced maps
+    # whose branches overlap (the first one's samples above the second
+    # one's start go through `branch_at`, which picks the second), reach
+    # past the ambient interval, hit the cut 0.5 of doubling and have
+    # time 0
+    l4 = mapdefs.logistic(4.0)
+    dbl = mapdefs.doubling()
+    inds = [induction.first_return(l4, (0.3, 0.45), 12),
+            induction.first_return(dbl, (0.0, 0.5), 20)]
+    for m in (l4, dbl, mapdefs.neutral()):
+        inds += [_overlapping(m, [(0.0, 0.6, 1), (0.4, 1.0, 2)]),
+                 _overlapping(m, [(0.1, 0.7, 3), (0.2, 0.3, 1),
+                                  (0.25, 0.9, 0)]),
+                 _overlapping(m, [(-0.5, 0.5, 1), (0.5, 1.5, 2)])]
+    for ind in inds:
+        assert (svgplot.return_map_graph(ind)
+                == refloops.return_map_graph(ind))
+    for m in (l4, dbl, mapdefs.tent(), mapdefs.neutral()):
+        for orbit in ([0.137, 0.5, 1.0], [0.75, 0.5], [0.3]):
+            assert (svgplot.cobweb(m, orbit, 9)
+                    == refloops.cobweb(m, orbit, 9))
+
+
+def test_parser_built_once_and_commands_looked_up_at_call_time(
+        tmp_path, monkeypatch):
+    mp = _map_file(tmp_path, mapdefs.tent_spec(), "tent.json")
+    cli._build_parser.cache_clear()
+    assert main(["analyze", "--map", mp, "--period-max", "2",
+                 "--out", str(tmp_path / "a")]) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.period_max)
+        return 0
+    monkeypatch.setattr(cli, "cmd_analyze", patched)
+    assert main(["analyze", "--map", mp, "--period-max", "3",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert seen == [3]
+    assert not (tmp_path / "b").exists()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_exit_code_config_errors(tmp_path):

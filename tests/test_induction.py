@@ -443,21 +443,32 @@ def test_induce_matches_reference_loops(name):
         got = got[1] - x if got[0] == "done" else None
         assert repr(got) == repr(refloops.f2_gap(ret, x))
     assert states == {"aborted", "unreturned", "returned", "done"}
-    # whole flank probes, from the first random starts to J's ends; a
-    # return derivative beyond the float range overflows in both
+    # whole flank probes, from the first random starts to J's ends (no
+    # return derivative here leaves the float range; see the next test)
     for x in starts[:4]:
         for flank in ((j_lo, x), (x, j_hi)):
-            assert (_stats_outcome(induction._flank_stats, ret, flank)
-                    == _stats_outcome(refloops.flank_stats, ret, flank))
+            assert (repr(induction._flank_stats(ret, flank))
+                    == repr(refloops.flank_stats(ret, flank)))
     if name == "logistic4":
         assert max(b.time for b in ret.branches) == 12
 
 
-def _stats_outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except OverflowError as e:
-        return "OverflowError", str(e)
+def test_flank_return_derivative_beyond_float_range(logistic4):
+    # a probe of this flank returns with log|DF| above log(max float): its
+    # derivative counts as inf, where math.exp raised OverflowError
+    ret = induction.first_return(logistic4, (0.25, 0.75), 12)
+    flank = (0.25, 0.25046019067580827)
+    with pytest.raises(OverflowError):
+        refloops.flank_stats(ret, flank)
+    stats = induction._flank_stats(ret, flank)
+    assert stats["returned"] == 32
+    assert stats["min_deriv"] == 274907526474.11914
+    # exp itself up to log(max float) = 709.78..., with no cut-off below
+    for x in (0.0, -1.5, 700.0, 709.78, -math.inf, math.inf):
+        assert induction._exp(x) == math.exp(x)
+    for x in (709.79, 1e308):
+        assert induction._exp(x) == math.inf
+    assert math.isnan(induction._exp(math.nan))
 
 
 def test_expansion_iterated_soundness(doubling):

@@ -10,7 +10,9 @@ import math
 import pytest
 
 import mapdefs
+import refloops
 from intervaldyn.errors import ConfigError, UNotCoveringError
+from intervaldyn.mapcore import BranchSpec, MapSpec, build_map
 from intervaldyn.mane import (
     ManeConfig,
     growth_test,
@@ -160,3 +162,111 @@ def test_growth_never_bounded_off_periodic_basins(tent, logistic4):
         if 0.499 < x < 0.501:
             continue
         assert growth_test(tent, x, ball, 200).status != "BOUNDED"
+
+
+HARVEST_CASES = {
+    "logistic4": (lambda: mapdefs.logistic(4.0), [(0.4, 0.6)], 30),
+    "logistic37": (lambda: mapdefs.logistic(3.7), [(0.4, 0.6)], 30),
+    # binary64 orbits reach the cut 0.5 after about 52 doublings: inside U
+    # here, outside U in the next case
+    "doubling_cut_inside": (mapdefs.doubling, [(0.45, 0.55)], 30),
+    "doubling_cut_outside": (mapdefs.doubling, [(0.7, 0.8)], 30),
+    # the last iterates before the cut are 0.375 or 0.625, then 0.75 or
+    # 0.25: the orbits land exactly on U's ends
+    "doubling_dyadic_ends": (mapdefs.doubling, [(0.375, 0.625)], 30),
+    "doubling_no_u": (mapdefs.doubling, [], 30),
+    "doubling_three_components": (
+        mapdefs.doubling, [(0.05, 0.1), (0.45, 0.55), (0.8, 0.95)], 30),
+    "doubling_n_max_1": (mapdefs.doubling, [(0.45, 0.55)], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+def test_harvest_matches_reference_loop(name):
+    # the compiled `harvest` shape gives the segments of the per-step loop
+    # it replaced, bit for bit
+    make, U, n_max = HARVEST_CASES[name]
+    m = make()
+    segs = harvest_segments(m, U, 200, n_max, 5)
+    assert segs
+    assert repr(segs) == repr(refloops.harvest_segments(m, U, 200, n_max, 5))
+
+
+def _harvest_outcome(fn, *args):
+    """The segments a harvest of one start appended, and the error it
+    raised, if any."""
+    segs = []
+    try:
+        fn(segs, *args)
+    except Exception as e:
+        return repr(segs), type(e).__name__, str(e)
+    return repr(segs)
+
+
+def _compiled(segs, m, U, x, n_max):
+    m.harvest(x, 4 * n_max, n_max, U, segs.append)
+
+
+def _reference(segs, m, U, x, n_max):
+    refloops.harvest_from(m, U, x, n_max, segs)
+
+
+def _assert_harvest_matches_reference(m, U, starts):
+    for x in starts:
+        for n_max in (1, 2, 5, 30):
+            assert (_harvest_outcome(_compiled, m, U, x, n_max)
+                    == _harvest_outcome(_reference, m, U, x, n_max)), (
+                        U, x, n_max)
+
+
+def test_harvest_from_hand_picked_starts():
+    one = [mapdefs.tent(), mapdefs.doubling(), mapdefs.logistic(4.0),
+           mapdefs.neutral(), mapdefs.jump_contraction()]
+    for m in one:
+        lo, hi = m.ambient
+        starts = m.exceptional + [lo, hi, math.nextafter(lo, -math.inf),
+                                  math.nextafter(hi, math.inf), -math.inf,
+                                  math.inf, float("nan"), 0.3, 0.6875]
+        for U in ([], [(0.25, 0.5)], [(0.4, 0.6), (0.6, 0.7)]):
+            _assert_harvest_matches_reference(m, U, starts)
+    # Df = 3 (x - 0.3)^2 vanishes at 0.3 only, off the validation grid
+    cube = build_map(MapSpec((BranchSpec((0.0, 1.0), "0.5 + (x - 0.3)^3"),)))
+    # f (log 0) and Df (division by 0) both fail at 0.3: formula errors
+    # propagate, Df's outside U and f's inside
+    both = build_map(MapSpec((BranchSpec(
+        (0.0, 1.0), "0.5 + 0.25*(x - 0.3) + 1e-6*log(abs(x - 0.3))"),)))
+    for m in (cube, both):
+        for U in ([], [(0.25, 0.35)], [(0.6, 0.8)]):
+            _assert_harvest_matches_reference(m, U, [0.3, 0.1, 0.7])
+    assert _harvest_outcome(_compiled, cube, [], 0.3, 5) == "[]"
+    assert _harvest_outcome(_compiled, both, [], 0.3, 5)[1:] == (
+        "ZeroDivisionError", "float division by zero")
+    assert _harvest_outcome(_compiled, both, [(0.25, 0.35)], 0.3, 5)[1:] == (
+        "ValueError", "math domain error")
+    # the doubles just below the cut 5e-4 map one ulp above the ambient
+    # end 1e-3, so the next step leaves the ambient interval
+    e = "0.001*4*(x/0.001)*(1-x/0.001)"
+    ulp = build_map(MapSpec((BranchSpec((0.0, 5e-4), e),
+                             BranchSpec((5e-4, 1e-3), e)),
+                            ambient=(0.0, 1e-3)))
+    x = 5e-4
+    for _ in range(100):
+        x = math.nextafter(x, 0.0)
+        if ulp.eval(x) > 1e-3:
+            break
+    assert ulp.eval(x) > 1e-3
+    starts = [x, math.nextafter(x, 0.0), 5e-4, 2.5e-4]
+    for U in ([], [(4e-4, 4.5e-4)], [(4.9e-4, 5.1e-4)]):
+        _assert_harvest_matches_reference(ulp, U, starts)
+    assert _harvest_outcome(_compiled, ulp, [], x, 5) == repr(
+        [(x, 1, math.log(abs(ulp.step(x)[1])))])
+
+
+def test_harvest_and_induce_compile_on_first_use(logistic4):
+    # build_map compiles neither shape; the first harvest compiles only
+    # its own
+    assert "harvest" not in vars(logistic4)
+    assert "induce" not in vars(logistic4)
+    harvest_segments(logistic4, [(0.4, 0.6)], 1, 5, 0)
+    assert "harvest" in vars(logistic4)
+    assert "induce" not in vars(logistic4)
