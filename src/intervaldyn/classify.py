@@ -6,13 +6,16 @@ two visited bins at most one empty bin apart are connected, and samples
 whose bins meet one connected component of all the samples' bins share a
 cluster.  Each cluster is reported as an attracting periodic-like orbit,
 a cycle of intervals (permuted by the map), or a Cantor-like set matched
-to recurrent lateral critical values.  Clusters that fit none of the
-three shapes are reported as unresolved with diagnostics instead of
-being silently merged.
+to recurrent lateral critical values.  Both non-periodic tests read the
+cluster's integer bins: an interval cycle is a few long runs of bins that
+the map's image sandwiches onto each other in one cycle, and a Cantor-like
+set is matched when its bins and the critical orbits' bins differ in at
+most 5 bins.  Clusters that fit none of the three shapes are reported as
+unresolved with diagnostics instead of being silently merged.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DegenerateOrbitError, IntervalDynError
@@ -20,16 +23,16 @@ from .mapcore import LateralPoint
 from .orbits import (
     BasinConfig,
     IntervalCover,
+    _binned_walk,
+    _binner,
     _bins_to_cells,
+    _runs,
     basin_sample,
     check_resolution,
-    cover_symdiff_length,
-    cover_union,
     omega_cover,
 )
 
 _PERIODIC_MATCH_TOL = 1e-4
-_CYCLE_HAUSDORFF_TOL = 1e-3
 
 
 @dataclass
@@ -145,52 +148,42 @@ def recurrence_check(m, v, length, eps):
     return count >= 3
 
 
-def _critical_cover(m, laterals, cfg, memo):
-    """Union of the critical-orbit covers of the lateral points in the
-    tuple `laterals`, or None when all of those orbits degenerate.  `memo`
-    maps tuples of lateral points to their unions, so each orbit is walked
-    once per memo."""
-    if laterals not in memo:
-        union = None
-        for lp in laterals:
-            if (lp,) not in memo:
-                try:
-                    start = m.eval_lateral(lp)
-                    memo[(lp,)] = omega_cover(m, start, 0, cfg.length,
-                                              cfg.resolution)
-                except IntervalDynError:
-                    memo[(lp,)] = None
-            oc = memo[(lp,)]
-            if oc is not None:
-                union = oc if union is None else cover_union(union, oc)
-        memo[laterals] = union
-    return memo[laterals]
-
-
-def match_omega(cover, m, cfg, critical_covers=None):
-    """Try to express `cover` as the union of critical-orbit covers of the
-    lateral values whose critical point meets the cover.  Returns
-    (matched lateral points or None, diagnostics).  Callers matching many
-    covers against one map pass one `critical_covers` dict to every call
-    (see `_critical_cover`)."""
-    if not cover.cells:
-        raise ConfigError("cover is empty")
-    res = cfg.resolution
+def match_omega(bins, m, cfg, critical_covers=None):
+    """Try to express the sorted cluster bins `bins` as the union of the
+    bins of the first cfg.length iterates of the critical orbits of the
+    lateral values whose critical point lies within one bin of the
+    cluster; accept when at most 5 bins differ.  Returns (matched lateral
+    points or None, diagnostics).  `critical_covers` maps lateral points
+    to their orbit's bins (None when it degenerates): callers matching
+    many clusters against one map pass one dict to every call, so each
+    orbit is walked once."""
+    if not bins:
+        raise ConfigError("cluster has no bins")
+    bin_of = _binner(m, cfg.resolution)
     vset = []
     for lp, _val in m.lateral_values:
-        c = lp.point
-        if any(lo - res <= c <= hi + res for lo, hi in cover.cells):
+        k = bin_of(lp.point)
+        i = bisect_left(bins, k - 1)
+        if i < len(bins) and bins[i] <= k + 1:
             vset.append(lp)
     if not vset:
         return None, {"reason": "no critical point meets the cover"}
-    union = _critical_cover(m, tuple(vset), cfg,
-                            {} if critical_covers is None else critical_covers)
-    if union is None:
+    memo = {} if critical_covers is None else critical_covers
+    for lp in vset:
+        if lp not in memo:
+            try:
+                memo[lp] = _binned_walk(m, m.eval_lateral(lp), cfg.length - 1,
+                                        0, cfg.length, cfg.resolution)[0]
+            except IntervalDynError:
+                memo[lp] = None
+    walked = [memo[lp] for lp in vset if memo[lp] is not None]
+    if not walked:
         return None, {"reason": "all critical orbits degenerate"}
-    d = cover_symdiff_length(union, cover)
-    if d <= 5 * res:
-        return vset, {"symdiff": d}
-    return None, {"reason": "symmetric difference too large", "symdiff": d}
+    d = len(set().union(*walked).symmetric_difference(bins))
+    if d <= 5:
+        return vset, {"symdiff_bins": d}
+    return None, {"reason": "symmetric difference too large",
+                  "symdiff_bins": d}
 
 
 # ---------------------------------------------------------------------------
@@ -220,35 +213,44 @@ def _image_hull(m, cell):
     return (mn, mx)
 
 
-def _try_interval_cycle(m, cover, resolution):
-    """Return (cells, period) if the cover's cells are few, fat, and
-    permuted by the map in a single cycle; otherwise None."""
-    cells = cover.cells
-    if not cells or len(cells) > 2 * len(m.exceptional) + 2:
+def _try_interval_cycle(m, bins, resolution):
+    """The period, if the runs of the sorted cluster bins `bins` are few,
+    long, and permuted by the map in a single cycle; otherwise None.
+
+    An interval sampled at `resolution` has its ends in the end bins k0
+    and k1 of its run, so it holds the inner cell (bins k0+1 .. k1-1) and
+    lies in the outer cell (bins k0 .. k1).  Run i goes to run [r0, r1]
+    when the image of its inner cell lies in bins r0-1 .. r1+1 and the
+    image of its outer cell reaches bins r0+1 and r1-1: the one-bin slack
+    admits attractor ends on a bin edge."""
+    runs = _runs(bins)
+    if not runs or len(runs) > 2 * len(m.exceptional) + 2:
         return None
-    if any(hi - lo < 100 * resolution for lo, hi in cells):
+    if any(k1 - k0 < 99 for k0, k1 in runs):
         return None
+    lo = m.ambient[0]
+    bin_of = _binner(m, resolution)
     perm = []
-    for cell in cells:
-        img = _image_hull(m, cell)
-        if img is None:
+    for k0, k1 in runs:
+        inner = _image_hull(m, (lo + (k0 + 1) * resolution,
+                                lo + k1 * resolution))
+        outer = _image_hull(m, (lo + k0 * resolution,
+                                lo + (k1 + 1) * resolution))
+        if inner is None or outer is None:
             return None
-        dists = [max(abs(img[0] - other[0]), abs(img[1] - other[1]))
-                 for other in cells]
-        j = min(range(len(cells)), key=lambda i: dists[i])
-        if dists[j] > _CYCLE_HAUSDORFF_TOL:
+        a, b, c, d = map(bin_of, inner + outer)
+        to = [j for j, (r0, r1) in enumerate(runs)
+              if a >= r0 - 1 and b <= r1 + 1 and c <= r0 + 1 and d >= r1 - 1]
+        if len(to) != 1:
             return None
-        perm.append(j)
-    if sorted(perm) != list(range(len(cells))):
-        return None
-    seen = set()
+        perm += to
+    # one cycle through all runs: the orbit of run 0 first returns last
     i = 0
-    for _ in range(len(cells)):
-        seen.add(i)
+    for step in range(1, len(runs) + 1):
         i = perm[i]
-    if i != 0 or len(seen) != len(cells):
-        return None              # permutation is not a single cycle
-    return list(cells), len(cells)
+        if i == 0:
+            return len(runs) if step == len(runs) else None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +354,10 @@ def classify_attractors(m, cfg=None):
 
     reports = []
     for cl in periodic_clusters:
-        cov = None
-        for bins in cl["bins"]:
-            c = IntervalCover(cfg.resolution, _bins_to_cells(
-                bins, *m.ambient, cfg.resolution))
-            cov = c if cov is None else cover_union(cov, c)
         reports.append(AttractorReport(
             kind="periodic_like",
-            cover=cov if cov is not None else IntervalCover(cfg.resolution, []),
+            cover=IntervalCover(cfg.resolution, _bins_to_cells(
+                set().union(*cl["bins"]), *m.ambient, cfg.resolution)),
             basin_fraction=len(cl["indices"]) / cfg.samples,
             sample_indices=cl["indices"],
             periodic={"period": cl["period"], "points": cl["points"],
@@ -379,15 +377,14 @@ def classify_attractors(m, cfg=None):
         shares = sorted(len(r.bins) / len(bins) for r in members)
         saturation = 0.5 * (shares[(len(shares) - 1) // 2]
                             + shares[len(shares) // 2])     # the median
-        cyc = _try_interval_cycle(m, cover, cfg.resolution)
-        if cyc is not None:
-            cells, period = cyc
+        period = _try_interval_cycle(m, bins, cfg.resolution)
+        if period is not None:
             reports.append(AttractorReport(
                 kind="interval_cycle", cover=cover, basin_fraction=frac,
-                sample_indices=indices, intervals=cells, period=period,
-                diagnostics={"saturation": saturation}))
+                sample_indices=indices, intervals=list(cover.cells),
+                period=period, diagnostics={"saturation": saturation}))
             continue
-        matched, diag = match_omega(cover, m, cfg, critical_covers)
+        matched, diag = match_omega(bins, m, cfg, critical_covers)
         diag["saturation"] = saturation
         if matched is not None:
             for lp in matched:

@@ -53,7 +53,10 @@ def _load_map(path):
 
 
 def _parse_pairs(text, what):
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        vals = []
     if not vals or len(vals) % 2:
         raise _UsageError("%s needs an even number of comma-separated "
                           "endpoints, got %r" % (what, text))
@@ -236,7 +239,10 @@ def main(argv=None):
     except (_UsageError, ConfigError, UNotCoveringError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except IntervalDynError as e:
+    except (IntervalDynError, ValueError, ZeroDivisionError,
+            OverflowError) as e:
+        # the last three: a branch formula outside its math domain at a
+        # point that `build_map` did not check
         print("computation failed: %s" % e, file=sys.stderr)
         return 3
 

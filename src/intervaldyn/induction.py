@@ -527,10 +527,7 @@ def distortion_bound(m, T0, J0, n):
         return math.inf
     delta = min(L, R) / (j_hi - j_lo)
     o_hat = eps_max * m.nonlinearity()
-    expo = o_hat * sum_j
-    if expo > 700.0:
-        return math.inf
-    return ((1.0 + delta) / delta) ** 2 * math.exp(expo)
+    return ((1.0 + delta) / delta) ** 2 * _exp(o_hat * sum_j)
 
 
 def measure_distortion(ind, probes=16):
@@ -623,15 +620,16 @@ def _gamma_bound(m, ind, eps, o1, length_i, details):
     j_lo, j_hi = ind.base
     dprime = min(j_lo - amb_lo, amb_hi - j_hi) / (j_hi - j_lo)
     details["delta_prime"] = dprime
-    if dprime <= 0.0 or o1 >= 700.0:
+    e1 = _exp(o1)
+    if dprime <= 0.0 or e1 == math.inf:
         return math.inf
-    K0 = ((1.0 + dprime) / dprime) ** 2 * math.exp(o1)
+    K0 = ((1.0 + dprime) / dprime) ** 2 * e1
     gamma0 = o1 + 2.0 / (j_hi - j_lo)
     gamma = K0 * gamma0 / length_i
     details["K0"] = K0
     details["gamma"] = gamma
     expo = gamma * (1.0 + 1.0 / (eps * eps))
-    return math.exp(expo) if expo < 700.0 else math.inf
+    return _exp(expo)
 
 
 def expansion_analysis(ind, m):
@@ -645,7 +643,7 @@ def expansion_analysis(ind, m):
     eps2 = max(dist - 1.0, 0.0)
     eps = math.sqrt(eps2)
     o1 = m.nonlinearity()
-    K = 5.0 * math.exp(o1) if o1 < 700.0 else math.inf
+    K = 5.0 * _exp(o1)
     applicable = eps < 1.0 / (6.0 * K) if math.isfinite(K) else False
     details = {"distortion": dist, "o_one": o1}
 

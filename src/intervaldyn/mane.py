@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, IntervalDynError, UNotCoveringError
+from .induction import _exp
 from .orbits import find_periodic_points
 from .rng import SplitMix64
 
@@ -86,10 +87,6 @@ def _inside(x, U):
     return any(a < x < b for a, b in U)
 
 
-def _cap_exp(lg):
-    return math.exp(lg) if lg < 700.0 else math.inf
-
-
 def growth_test(m, x, avoid, n_max):
     """Track the running max of |Df^n(x)| while the orbit of x stays out
     of `avoid`: GROWTH once the max exceeds 1e6, CAPTURED when the orbit
@@ -111,16 +108,16 @@ def growth_test(m, x, avoid, n_max):
         if d == 0.0:
             # exact hit of an undefined point (or a critical point): the
             # singular core of the avoided region
-            return GrowthRecord("CAPTURED", _cap_exp(maxlog), k,
+            return GrowthRecord("CAPTURED", _exp(maxlog), k,
                                 captured_at=k)
         logsum += math.log(abs(d))
         maxlog = max(maxlog, logsum)
         if maxlog > _GROWTH_LOG:
-            return GrowthRecord("GROWTH", _cap_exp(maxlog), k + 1)
+            return GrowthRecord("GROWTH", _exp(maxlog), k + 1)
         if _inside(x, avoid):
-            return GrowthRecord("CAPTURED", _cap_exp(maxlog), k + 1,
+            return GrowthRecord("CAPTURED", _exp(maxlog), k + 1,
                                 captured_at=k + 1)
-    return GrowthRecord("BOUNDED", _cap_exp(maxlog), n_max)
+    return GrowthRecord("BOUNDED", _exp(maxlog), n_max)
 
 
 def harvest_segments(m, U, samples, n_max, seed):
@@ -160,11 +157,11 @@ def mane_certificate(m, U, cfg=None):
     details = {"segments": len(segments), "long_segments": len(long_means)}
     if long_means:
         log_lam = min(long_means)
-        lam = _cap_exp(log_lam)
+        lam = _exp(log_lam)
         raw_log_c = min(lg - n * log_lam for _x0, n, lg in segments)
         # a hair below the achieved minimum, so the certified inequality
         # |Df^n| > C * lambda^n is strict on every harvested segment
-        c_val = _cap_exp(raw_log_c) * (1.0 - 1e-12)
+        c_val = _exp(raw_log_c) * (1.0 - 1e-12)
         details["log_lambda"] = log_lam
         details["raw_log_C"] = raw_log_c
     else:

@@ -29,7 +29,6 @@ __all__ = [
     "OrbitSegment", "IntervalCover", "PeriodicLike", "RawPointRecord",
     "BasinConfig", "orbit", "omega_cover", "detect_periodic_like",
     "find_periodic_points", "basin_sample", "check_resolution",
-    "cover_total_length", "cover_union", "cover_symdiff_length",
 ]
 
 
@@ -76,22 +75,33 @@ class IntervalCover:
     cells: list  # sorted disjoint (lo, hi) tuples
 
 
-def _bins_to_cells(ks, lo, hi, res):
-    cells = []
-    run_start = None
-    prev = None
-    for k in sorted(ks):
-        if run_start is None:
-            run_start = prev = k
-        elif k == prev + 1:
-            prev = k
+def _runs(ks):
+    """The maximal runs [k0, k1] of consecutive bins in the sorted bins ks."""
+    runs = []
+    for k in ks:
+        if runs and k == runs[-1][1] + 1:
+            runs[-1][1] = k
         else:
-            cells.append((lo + run_start * res, min(lo + (prev + 1) * res,
-                                                    hi)))
-            run_start = prev = k
-    if run_start is not None:
-        cells.append((lo + run_start * res, min(lo + (prev + 1) * res, hi)))
-    return cells
+            runs.append([k, k])
+    return runs
+
+
+def _bins_to_cells(ks, lo, hi, res):
+    return [(lo + k0 * res, min(lo + (k1 + 1) * res, hi))
+            for k0, k1 in _runs(sorted(ks))]
+
+
+def _nbins(m, resolution):
+    """The number of bins of width `resolution` on the ambient interval."""
+    lo, hi = m.ambient
+    return max(1, math.ceil((hi - lo) / resolution - 1e-9))
+
+
+def _binner(m, resolution):
+    """The bin of a point, as `_binned_walk` bins it: points outside the
+    ambient interval go to the end bins."""
+    lo, last = m.ambient[0], _nbins(m, resolution) - 1
+    return lambda y: min(max(int((y - lo) / resolution), 0), last)
 
 
 # orbit steps per `walk` call of the binned loops, which bounds their memory
@@ -106,8 +116,8 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     point the walk stopped on (binned if inside the window), or None.  An
     iterate is binned only after `walk` has stepped it, so a NaN raises
     OutOfRangeError first."""
-    lo, hi = m.ambient
-    nbins = max(1, math.ceil((hi - lo) / resolution - 1e-9))
+    lo = m.ambient[0]
+    nbins = _nbins(m, resolution)
     end = burn_in + length
     raw = set()
     head = []
@@ -164,47 +174,6 @@ def omega_cover(m, x, burn_in, length, resolution):
             "window at %d" % (hit, burn_in))
     return IntervalCover(resolution,
                          _bins_to_cells(ks, *m.ambient, resolution))
-
-
-def cover_total_length(cover):
-    return sum(b - a for a, b in cover.cells)
-
-
-def _merge_intervals(ivs):
-    out = []
-    for a, b in sorted(ivs):
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
-
-
-def cover_union(a, b):
-    if a.resolution != b.resolution:
-        res = min(a.resolution, b.resolution)
-    else:
-        res = a.resolution
-    return IntervalCover(res, _merge_intervals(list(a.cells) + list(b.cells)))
-
-
-def _intersection_length(ca, cb):
-    total = 0.0
-    j = 0
-    for a, b in ca:
-        while j < len(cb) and cb[j][1] < a:
-            j += 1
-        k = j
-        while k < len(cb) and cb[k][0] < b:
-            total += max(0.0, min(b, cb[k][1]) - max(a, cb[k][0]))
-            k += 1
-    return total
-
-
-def cover_symdiff_length(a, b):
-    la = sum(y - x for x, y in a.cells)
-    lb = sum(y - x for x, y in b.cells)
-    return la + lb - 2.0 * _intersection_length(a.cells, b.cells)
 
 
 # ---------------------------------------------------------------------------

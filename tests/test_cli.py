@@ -1,6 +1,7 @@
 """CLI, canonical-JSON, and SVG plumbing tests."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -307,6 +308,8 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["analyze", "--map", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["return-map", "--map", mp, "--j", "0.1,0.2,0.3",
                  "--out", str(tmp_path)]) == 2
+    assert main(["return-map", "--map", mp, "--j", "0.1,abc",
+                 "--out", str(tmp_path)]) == 2
     assert main(["classify", "--map", mp, "--samples", "50",
                  "--out", str(tmp_path)]) == 2
     # classify settings are checked before any sampling
@@ -354,6 +357,49 @@ def test_exit_code_computation_error(tmp_path):
     assert main(["return-map", "--map", mp, "--j", "0,0.5",
                  "--t-max", "20", "--refine", "8",
                  "--out", str(tmp_path)]) == 3
+
+
+def test_exit_code_domain_error_mid_run(tmp_path, capsys):
+    # the validation grid misses 0.3, so the map builds; its formula is
+    # undefined there, and the orbit from 0.3 fails with exit 3
+    spec = MapSpec((BranchSpec(
+        (0.0, 1.0), "0.5 + 0.25*(x - 0.3) + 1e-6*log(abs(x - 0.3))"),))
+    mp = _map_file(tmp_path, spec, "log.json")
+    assert main(["analyze", "--map", mp, "--period-max", "1",
+                 "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--map", mp, "--x0", "0.3", "--n", "5",
+                 "--out", str(tmp_path / "p")]) == 3
+    assert "computation failed: math domain error" in capsys.readouterr().err
+
+
+def _perfbench_spans():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_perfbench_tracer_finds_every_traced_name(tmp_path):
+    # the benchmark's tracer wraps functions by name: installing it fails
+    # on a traced name that was removed, renamed or no longer imported
+    from intervaldyn import classify
+    original = classify.match_omega
+    tracer = _perfbench_spans().Tracer()
+    try:
+        tracer.install()
+        assert classify.match_omega is not original
+        mp = _map_file(tmp_path, mapdefs.jump_contraction_spec(), "jump.json")
+        assert main(["classify", "--map", mp, "--samples", "100",
+                     "--burn-in", "20", "--length", "40",
+                     "--out", str(tmp_path / "c")]) == 0
+    finally:
+        tracer.uninstall()
+    assert classify.match_omega is original
+    assert tracer.counts["classify.reports"] == 1
+    assert tracer.counts["classify.match_omega.calls"] == 1
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -312,6 +312,18 @@ def test_distortion_bound_huge_collar_limit(logistic4):
     assert bound == pytest.approx(pure_exp, rel=0.01)
 
 
+def test_distortion_bound_finite_up_to_the_float_range(tent, monkeypatch):
+    # the case above with a nonlinearity that makes the exponent
+    # 0.8 * 0.3 * nonlinearity past 700: exp is finite up to 709.78, and
+    # only an exponent beyond that gives inf
+    for expo, finite in ((701.0, True), (705.0, True), (710.0, False)):
+        monkeypatch.setattr(tent, "nonlinearity", lambda: expo / 0.24)
+        bound = induction.distortion_bound(tent, (0.05, 0.45), (0.1, 0.4), 1)
+        assert math.isfinite(bound) == finite
+        if finite:
+            assert bound == pytest.approx(49.0 * math.exp(expo), rel=1e-12)
+
+
 def test_distortion_bound_bad_args(tent):
     with pytest.raises(ConfigError):
         induction.distortion_bound(tent, (0.1, 0.2), (0.05, 0.15), 1)

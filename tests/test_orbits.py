@@ -19,9 +19,6 @@ from intervaldyn.orbits import (
     IntervalCover,
     RawPointRecord,
     basin_sample,
-    cover_symdiff_length,
-    cover_total_length,
-    cover_union,
     detect_periodic_like,
     find_periodic_points,
     omega_cover,
@@ -134,14 +131,18 @@ def test_omega_cover_monotone_in_length(logistic4):
         assert any(c <= a and b <= d for c, d in long_.cells)
 
 
-def test_cover_helpers():
-    a = IntervalCover(0.1, [(0.0, 0.2), (0.5, 0.6)])
-    b = IntervalCover(0.1, [(0.1, 0.3)])
-    assert cover_total_length(a) == pytest.approx(0.3)
-    u = cover_union(a, b)
-    assert u.cells == [(0.0, 0.3), (0.5, 0.6)]
-    assert cover_symdiff_length(a, b) == pytest.approx(0.3)
-    assert cover_symdiff_length(a, a) == 0.0
+def test_bin_runs_and_cells():
+    # runs are the maximal stretches of consecutive bins; each becomes one
+    # cell, and the last bin is cut at the ambient end
+    assert orbits._runs([]) == []
+    assert orbits._runs([3, 4, 5, 7, 9, 10]) == [[3, 5], [7, 7], [9, 10]]
+    assert orbits._bins_to_cells({10, 3, 4, 9}, 0.0, 1.05, 0.1) == \
+        [(0.0 + 3 * 0.1, 0.0 + 5 * 0.1), (0.0 + 9 * 0.1, 1.05)]
+    m = build_map(MapSpec((BranchSpec((0.0, 1.05), "x/1.05"),),
+                          ambient=(0.0, 1.05)))
+    assert orbits._nbins(m, 0.1) == 11
+    assert orbits._nbins(m, 0.35) == 3
+    assert orbits._nbins(m, 2.0) == 1
 
 
 def test_detect_periodic_like_superattracting():
