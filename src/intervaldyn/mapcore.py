@@ -34,7 +34,7 @@ pull-backs of cylinder refinement, and the induced-map evaluation, run on
 derivative run on `compose_deriv`; loops that stop on a condition of their
 own run on `eval` and `step`.
 
-Two more shapes on the same arms are compiled on first access, not in
+Three more shapes on the same arms are compiled on first access, not in
 `build_map`, because each serves one analysis and compiling its source
 would make every map build slower.  The sixth, `PiecewiseMap.induce`,
 walks an induced map, given as tables of branch domains and return times,
@@ -43,7 +43,11 @@ and the F^2 scan of `induction.expansion_analysis` run on it, through
 `InducedMap.induce`; its source holds every arm twice.  The seventh,
 `PiecewiseMap.harvest`, follows one orbit and reports its maximal runs
 outside a set U, with their log-derivatives: `mane.harvest_segments` runs
-one call of it per sample.
+one call of it per sample.  The eighth, `PiecewiseMap.solve`, finds a root
+of f^n(x) - x or f^n(x) - c in a sign-change bracket by Brent's method,
+finished by bisection down to two adjacent floats:
+`orbits.find_periodic_points` runs one call of it per periodic point and
+per lap cut.
 """
 
 import math
@@ -143,7 +147,7 @@ def _midgrid(a, b, n):
 
 def _compile_ladders(branches, ambient, exceptional):
     """Compile the branch lookup and the branch formulas together into five
-    shapes, and two more on demand: `f(x)`; `step(x) = (f(x), Df(x))`;
+    shapes, and three more on demand: `f(x)`; `step(x) = (f(x), Df(x))`;
     `walk(x, n)`, the list of iterates x_1 .. x_n; `compose(x, n) = f^n(x)`;
     and
     `compose_deriv(x, n) = (f^n(x), sum of log|Df|, product of the signs
@@ -174,8 +178,16 @@ def _compile_ladders(branches, ambient, exceptional):
     compiling it takes 0.5 to 0.7 ms (logistic and the neutral fixture,
     fastest of 200, 2-vCPU Xeon), which every map build would pay.
 
-    The last element returned maps 'induce' and 'harvest' to functions
-    that compile them; `PiecewiseMap` calls each on first access."""
+    The eighth shape, `solve` (see `PiecewiseMap.solve`), is the root
+    finder of `orbits.find_periodic_points`, for its fixed points of f^n
+    and for the cut preimages that split its laps; only `analyze` and
+    `mane` use it, and compiling it takes 0.8 to 0.9 ms (logistic and the
+    neutral fixture, fastest of 200, 2-vCPU Xeon).  Its f^n is `compose`'s
+    loop, run once per Brent or bisection step.
+
+    The last element returned maps 'induce', 'harvest' and 'solve' to
+    functions that compile them; `PiecewiseMap` calls each on first
+    access."""
     hi = ambient[1]
     exc = frozenset(exceptional)
 
@@ -211,7 +223,8 @@ def _compile_ladders(branches, ambient, exceptional):
     def compile_shapes(src, names):
         ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss,
               "_zero": zero, "_hit": OrbitHitsExceptionalError, "_exc": exc,
-              "_bisect": bisect_right}
+              "_bisect": bisect_right, "_ulp": math.ulp,
+              "_copysign": math.copysign}
         exec("\n".join(src), ns)
         return tuple(ns[k] for k in names)
 
@@ -290,6 +303,90 @@ def _compile_ladders(branches, ambient, exceptional):
                   "        put((x0, r, s))"])
         return compile_shapes(src, ("harvest",))[0]
 
+    def compile_solve():
+        # Brent's method (zbrent, Numerical Recipes 9.3) on (b, c) while
+        # the bracket is wider than 2 ulps of b, then bisection; b is the
+        # best point, a the previous one; t is the next point and u the
+        # one evaluated, t itself or once nudged toward c after a hit
+        src = (["def solve(a, b, fa, fb, n, v=None):",
+                "    c = a",
+                "    fc = fa",
+                "    d = e = b - a",
+                "    brent = True",
+                "    while True:",
+                "        if brent:",
+                "            if (fb > 0.0) == (fc > 0.0):",
+                "                c = a",
+                "                fc = fa",
+                "                d = e = b - a",
+                "            if abs(fc) < abs(fb):",
+                "                a = b",
+                "                b = c",
+                "                c = a",
+                "                fa = fb",
+                "                fb = fc",
+                "                fc = fa",
+                "            tol = _ulp(b)",
+                "            h = 0.5 * (c - b)",
+                "            brent = not -tol <= h <= tol",
+                "        if brent:",
+                "            if not -tol < e < tol and abs(fa) > abs(fb):",
+                "                s = fb / fa",
+                "                if a == c:",
+                "                    p = 2.0 * h * s",
+                "                    q = 1.0 - s",
+                "                else:",
+                "                    q = fa / fc",
+                "                    r = fb / fc",
+                "                    p = s * (2.0 * h * q * (q - r)"
+                " - (b - a) * (r - 1.0))",
+                "                    q = (q - 1.0) * (r - 1.0) * (s - 1.0)",
+                "                if p > 0.0:",
+                "                    q = -q",
+                "                else:",
+                "                    p = -p",
+                "                if (2.0 * p < 3.0 * h * q - abs(tol * q)",
+                "                        and 2.0 * p < abs(e * q)):",
+                "                    e = d",
+                "                    d = p / q",
+                "                else:",
+                "                    d = e = h",
+                "            else:",
+                "                d = e = h",
+                "            a = b",
+                "            fa = fb",
+                "            t = b + (_copysign(tol, h) if -tol <= d <= tol"
+                " else d)",
+                "        else:",
+                "            t = 0.5 * (b + c)",
+                "            if not (b < t < c or c < t < b):",
+                "                return b if abs(fb) <= abs(fc) else c",
+                "        u = t",
+                "        while True:",
+                "            x = u",
+                "            for i in range(n):"]
+               + ladder("x = {f}; continue", "                ")
+               + ["                if x in _exc:",
+                  "                    break",
+                  "                raise _miss(x)",
+                  "            else:",
+                  "                break",
+                  "            if u != t:",
+                  "                return b",
+                  "            u = t + (c - b) * 1e-3",
+                  "            if u == t or not (b < u < c or c < u < b):",
+                  "                return b",
+                  "        g = x - (u if v is None else v)",
+                  "        if g == 0.0:",
+                  "            return u",
+                  "        if brent or (g > 0.0) == (fb > 0.0):",
+                  "            b = u",
+                  "            fb = g",
+                  "        else:",
+                  "            c = u",
+                  "            fc = g"])
+        return compile_shapes(src, ("solve",))[0]
+
     src = (["def f(x):"] + ladder("return {f}", "    ")
            + ["    raise _miss(x)", "def step(x):"]
            + ladder("d = {df}; return {f}, d", "    ")
@@ -307,15 +404,16 @@ def _compile_ladders(branches, ambient, exceptional):
                   "raise _hit(i, x)", "return x, s, sg"))
     return compile_shapes(src, ("f", "step", "walk", "compose",
                                 "compose_deriv")) + (
-        {"induce": compile_induce, "harvest": compile_harvest},)
+        {"induce": compile_induce, "harvest": compile_harvest,
+         "solve": compile_solve},)
 
 
 class PiecewiseMap:
     """Compiled piecewise map, made by `build_map` from branches sorted by
     domain.  `exceptional` is the set of undefined points: every interior
     branch cut.  `eval`, `step`, `walk`, `compose` and `compose_deriv` are
-    the stepping path; `induce` and `harvest` are compiled on first access
-    (see the module docstring)."""
+    the stepping path; `induce`, `harvest` and `solve` are compiled on
+    first access (see the module docstring)."""
 
     def __init__(self, branches, ambient, lateral_values, orders):
         self.branches = branches
@@ -410,6 +508,22 @@ class PiecewiseMap:
         NaN), and closes the open run at its end.  Errors of the branch
         formulas propagate.  The loop is compiled on first access."""
         return self._lazy["harvest"]()
+
+    @cached_property
+    def solve(self):
+        """`solve(a, b, ga, gb, n, v=None)` finds a root of g(x) = f^n(x) - x,
+        or of g(x) = f^n(x) - v when v is given, in the bracket between a
+        and b, where ga = g(a) and gb = g(b) have opposite signs, in one
+        compiled loop.  Brent's method runs while the bracket is wider than
+        2 ulps of its best end; bisection then halves it until it holds two
+        adjacent floats.  Returns a point where g is 0, else the end of
+        that last bracket where |g| is smaller.  f^n is `compose`'s
+        arithmetic; an evaluation that hits the exceptional set is retried
+        once at a point moved by 1e-3 of the bracket inward, and a second
+        hit (or a move that leaves the bracket) returns the best end so
+        far.  OutOfRangeError and errors of the branch formulas propagate.
+        The loop is compiled on first access."""
+        return self._lazy["solve"]()
 
     def deriv(self, x):
         return self.branch_at(x).df(x)

@@ -265,31 +265,6 @@ _CYL_CAP = 10_000_000
 _DEDUP_TOL = 1e-9       # periodic points closer than this are one point
 
 
-def _preimage_in(m, n, u, v, target, gu, gv):
-    """Bisect the monotone f^n on (u, v) for f^n(x) = target; gu, gv are
-    f^n at the (nudged) ends."""
-    increasing = gv > gu
-    a, b = u, v
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break
-        gm = m.compose(mid, n)
-        if gm is None:
-            # exact hit of the undefined set mid-composition; nudge once
-            mid += (b - a) * 1e-3
-            if not (a < mid < b):
-                break
-            gm = m.compose(mid, n)
-            if gm is None:
-                break
-        if (gm < target) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def _nudged(u, v):
     w = v - u
     d = max(1e-13, 1e-9 * w)
@@ -297,9 +272,20 @@ def _nudged(u, v):
 
 
 def find_periodic_points(m, period_max):
-    """Periodic points up to period_max via monotone-piece enumeration of
-    the iterates: within each maximal interval on which f^n is a smooth
-    composition, scan f^n(x) - x for sign changes and bisect."""
+    """Periodic points up to period_max, as (x, least period, |multiplier|)
+    sorted by x, via the laps of the iterates: the maximal intervals on
+    which f^n is a smooth monotone composition.  On each lap f^n is
+    evaluated at the nudged ends.  A decreasing lap holds at most one fixed
+    point of f^n, bracketed by its ends, and an increasing lap whose image
+    misses the lap holds none; only on the other increasing laps is f^n(x)
+    - x also scanned at 18 interior points for sign changes.  Each sign
+    change goes to `PiecewiseMap.solve` (Brent's method, finished by
+    bisection), so every point found lies within 1 ulp of a sign change of
+    the computed f^n(x) - x, or is an exact zero of it.  The laps of
+    f^(n+1) split those of f^n at the preimages of the cuts, found by
+    `solve` too."""
+    if period_max < 1:
+        raise ConfigError("period_max must be >= 1")
     if period_max > 24:
         raise ConfigError("period_max > 24 (piece count is exponential)")
     lo, hi = m.ambient
@@ -353,10 +339,16 @@ def find_periodic_points(m, period_max):
         new_cyls = []
         for u, v in cylinders:
             nu, nv = _nudged(u, v)
-            grid = [nu] + [u + (v - u) * (j + 0.5) / 18.0
-                           for j in range(18)] + [nv]
-            # f^n on the grid, None after an exact hit
-            imgs = [m.compose(y, n) for y in grid]
+            # f^n at the nudged ends, None after an exact hit
+            gu, gv = m.compose(nu, n), m.compose(nv, n)
+            grid, imgs = [nu, nv], [gu, gv]
+            # the ends bracket the one fixed point a decreasing lap may
+            # hold, and an increasing lap whose image misses it holds none
+            if gu is None or gv is None or (gu < gv and gu <= nv
+                                            and gv >= nu):
+                grid[1:1] = [u + (v - u) * (j + 0.5) / 18.0
+                             for j in range(18)]
+                imgs[1:1] = [m.compose(y, n) for y in grid[1:-1]]
             vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
             for (x0, g0), (x1, g1) in zip(zip(grid, vals),
                                           zip(grid[1:], vals[1:])):
@@ -364,29 +356,13 @@ def find_periodic_points(m, period_max):
                     continue
                 if g0 == 0.0:
                     record(x0, n)
-                    continue
-                if g0 * g1 < 0.0:
-                    a, b = x0, x1
-                    ga = g0
-                    for _ in range(100):
-                        mid = 0.5 * (a + b)
-                        if mid <= a or mid >= b:
-                            break
-                        gm = m.compose(mid, n)
-                        if gm is None:
-                            break
-                        gm -= mid
-                        if (gm < 0.0) == (ga < 0.0):
-                            a, ga = mid, gm
-                        else:
-                            b = mid
-                    record(0.5 * (a + b), n)
+                elif g0 * g1 < 0.0:
+                    record(m.solve(x0, x1, g0, g1, n), n)
 
-            # split the cylinder at the preimages of the exceptional set
-            # for period n + 1, from f^n at its nudged ends
+            # split the lap at the preimages of the exceptional set for
+            # period n + 1, from f^n at its nudged ends
             if n == period_max:
                 continue
-            gu, gv = imgs[0], imgs[-1]
             if gu is None or gv is None:
                 new_cyls.append((u, v))
                 continue
@@ -394,7 +370,7 @@ def find_periodic_points(m, period_max):
             splits = [u]
             for c in m.exceptional:
                 if img_lo < c < img_hi:
-                    splits.append(_preimage_in(m, n, nu, nv, c, gu, gv))
+                    splits.append(m.solve(nu, nv, gu - c, gv - c, n, c))
             splits.append(v)
             splits.sort()
             for a, b in zip(splits, splits[1:]):

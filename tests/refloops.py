@@ -1,22 +1,30 @@
 """Reference orbit loops: the per-step Python loops that the compiled
 `compose`, `compose_deriv`, `induce` and `harvest` ladder shapes replaced,
 kept verbatim so the tests can check the shapes against them bit for bit,
-and the SVG graphs that sampled every point through `eval`.
+a per-evaluation `solve`, and the SVG graphs that sampled every point
+through `eval`.
 
 `install(monkeypatch)` swaps every one of them back into the package and
 returns a dict that counts the calls each reference receives.
+
+`find_periodic_points` is the bisection search that `solve` replaced, kept
+verbatim as an oracle for counts, periods and last-bit moves; `install`
+leaves it out, as its points differ in the last bits by design.
 """
 
 import math
+from bisect import bisect_left, insort
 
 from intervaldyn import cli, induction, mane, mapcore, svgplot
 from intervaldyn.errors import (
+    BranchExplosionError,
     ConfigError,
     ExceptionalPointError,
     IntervalDynError,
     OrbitHitsExceptionalError,
     ZeroDerivativeError,
 )
+from intervaldyn.orbits import _CYL_CAP, _DEDUP_TOL, _nudged
 from intervaldyn.rng import SplitMix64
 
 
@@ -44,6 +52,207 @@ def compose(m, x, n):
     the exceptional set first."""
     ys = m.walk(x, n)
     return ys[-1] if len(ys) == n else None
+
+
+def solve(m, a, b, fa, fb, n, v=None):
+    """`PiecewiseMap.solve`: Brent's method, then bisection, on f^n(x) - x
+    or f^n(x) - v, with one `compose` per evaluation."""
+    c, fc = a, fa
+    d = e = b - a
+    brent = True
+    while True:
+        if brent:
+            if (fb > 0.0) == (fc > 0.0):
+                c, fc = a, fa
+                d = e = b - a
+            if abs(fc) < abs(fb):
+                a, b, c = b, c, b
+                fa, fb, fc = fb, fc, fb
+            tol = math.ulp(b)
+            h = 0.5 * (c - b)
+            brent = abs(h) > tol
+        if brent:
+            if abs(e) >= tol and abs(fa) > abs(fb):
+                s = fb / fa
+                if a == c:
+                    p = 2.0 * h * s
+                    q = 1.0 - s
+                else:
+                    q = fa / fc
+                    r = fb / fc
+                    p = s * (2.0 * h * q * (q - r) - (b - a) * (r - 1.0))
+                    q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+                if p > 0.0:
+                    q = -q
+                p = abs(p)
+                if 2.0 * p < min(3.0 * h * q - abs(tol * q), abs(e * q)):
+                    e = d
+                    d = p / q
+                else:
+                    d = e = h
+            else:
+                d = e = h
+            a, fa = b, fb
+            t = b + (d if abs(d) > tol else math.copysign(tol, h))
+        else:
+            t = 0.5 * (b + c)
+            if not (b < t < c or c < t < b):
+                return b if abs(fb) <= abs(fc) else c
+        u = t
+        y = m.compose(u, n)
+        if y is None:
+            u = t + (c - b) * 1e-3
+            if u == t or not (b < u < c or c < u < b):
+                return b
+            y = m.compose(u, n)
+            if y is None:
+                return b
+        g = y - (u if v is None else v)
+        if g == 0.0:
+            return u
+        if brent or (g > 0.0) == (fb > 0.0):
+            b, fb = u, g
+        else:
+            c, fc = u, g
+
+
+def _preimage_in(m, n, u, v, target, gu, gv):
+    """Bisect the monotone f^n on (u, v) for f^n(x) = target; gu, gv are
+    f^n at the (nudged) ends."""
+    increasing = gv > gu
+    a, b = u, v
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if not (a < mid < b):
+            break
+        gm = m.compose(mid, n)
+        if gm is None:
+            # exact hit of the undefined set mid-composition; nudge once
+            mid += (b - a) * 1e-3
+            if not (a < mid < b):
+                break
+            gm = m.compose(mid, n)
+            if gm is None:
+                break
+        if (gm < target) == increasing:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def find_periodic_points(m, period_max):
+    """Periodic points up to period_max via monotone-piece enumeration of
+    the iterates: within each maximal interval on which f^n is a smooth
+    composition, scan f^n(x) - x for sign changes and bisect."""
+    if period_max > 24:
+        raise ConfigError("period_max > 24 (piece count is exponential)")
+    lo, hi = m.ambient
+    results = []
+    xs = []             # recorded x, sorted
+
+    def known(x):
+        # rounded |x - r| never shrinks away from x, so the nearest recorded
+        # point on either side decides
+        i = bisect_left(xs, x)
+        return any(abs(x - r) <= _DEDUP_TOL for r in xs[max(i - 1, 0):i + 1])
+
+    def minimal_period(x, n):
+        y = x
+        for d in range(1, n + 1):
+            try:
+                y = m.eval(y)
+            except ExceptionalPointError:
+                return n
+            if abs(y - x) <= 1e-8:
+                return d
+        return n
+
+    def record(x, n):
+        if known(x):
+            return
+        d = minimal_period(x, n)
+        try:
+            log_abs, _ = m.deriv_product(x, d)
+            mult = math.exp(log_abs)
+        except (IntervalDynError, ValueError, OverflowError):
+            mult = float("nan")
+        results.append((x, d, mult))
+        insort(xs, x)
+
+    # ambient endpoints: closures are defined there but sign-change
+    # bracketing cannot see a root pinned at the domain edge
+    for e in (lo, hi):
+        x = e
+        for n in range(1, period_max + 1):
+            try:
+                x = m.eval(x)
+            except ExceptionalPointError:
+                break
+            if abs(x - e) <= 1e-9:
+                record(e, n)
+                break
+
+    cylinders = [(b.lo, b.hi) for b in m.branches]
+    for n in range(1, period_max + 1):
+        new_cyls = []
+        for u, v in cylinders:
+            nu, nv = _nudged(u, v)
+            grid = [nu] + [u + (v - u) * (j + 0.5) / 18.0
+                           for j in range(18)] + [nv]
+            # f^n on the grid, None after an exact hit
+            imgs = [m.compose(y, n) for y in grid]
+            vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
+            for (x0, g0), (x1, g1) in zip(zip(grid, vals),
+                                          zip(grid[1:], vals[1:])):
+                if g0 is None or g1 is None:
+                    continue
+                if g0 == 0.0:
+                    record(x0, n)
+                    continue
+                if g0 * g1 < 0.0:
+                    a, b = x0, x1
+                    ga = g0
+                    for _ in range(100):
+                        mid = 0.5 * (a + b)
+                        if mid <= a or mid >= b:
+                            break
+                        gm = m.compose(mid, n)
+                        if gm is None:
+                            break
+                        gm -= mid
+                        if (gm < 0.0) == (ga < 0.0):
+                            a, ga = mid, gm
+                        else:
+                            b = mid
+                    record(0.5 * (a + b), n)
+
+            # split the cylinder at the preimages of the exceptional set
+            # for period n + 1, from f^n at its nudged ends
+            if n == period_max:
+                continue
+            gu, gv = imgs[0], imgs[-1]
+            if gu is None or gv is None:
+                new_cyls.append((u, v))
+                continue
+            img_lo, img_hi = min(gu, gv), max(gu, gv)
+            splits = [u]
+            for c in m.exceptional:
+                if img_lo < c < img_hi:
+                    splits.append(_preimage_in(m, n, nu, nv, c, gu, gv))
+            splits.append(v)
+            splits.sort()
+            for a, b in zip(splits, splits[1:]):
+                if b - a > 1e-13:
+                    new_cyls.append((a, b))
+            if len(new_cyls) > _CYL_CAP:
+                raise BranchExplosionError(
+                    "more than %d monotone pieces at period %d"
+                    % (_CYL_CAP, n + 1))
+        cylinders = new_cyls
+
+    results.sort()
+    return results
 
 
 def safe_eval(m, x, t, span):
@@ -379,6 +588,7 @@ def install(monkeypatch):
     monkeypatch.setattr(pm, "deriv_product",
                         counted("deriv_product", deriv_product))
     monkeypatch.setattr(pm, "compose", counted("compose", compose))
+    monkeypatch.setattr(pm, "solve", counted("solve", solve))
     monkeypatch.setattr(induction, "_pull", counted("pull", pull))
     monkeypatch.setattr(induction, "_induced_step",
                         counted("induced_step", induced_step))

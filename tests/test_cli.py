@@ -320,6 +320,10 @@ def test_exit_code_config_errors(tmp_path):
         assert main(["classify", "--map", mp, flag, value,
                      "--out", str(tmp_path / "cls")]) == 2, (flag, value)
     assert not (tmp_path / "cls" / "report.json").exists()
+    for value in ("0", "-3"):
+        assert main(["analyze", "--map", mp, "--period-max", value,
+                     "--out", str(tmp_path / "an")]) == 2, value
+    assert not (tmp_path / "an" / "report.json").exists()
     assert main(["mane", "--map", mp, "--avoid", "0.6,0.7",
                  "--out", str(tmp_path)]) == 2
     assert main(["plot", "--map", mp, "--x0", "7", "--out", str(tmp_path)]) == 2
@@ -384,7 +388,8 @@ def _perfbench_spans():
 
 def test_perfbench_tracer_finds_every_traced_name(tmp_path):
     # the benchmark's tracer wraps functions by name: installing it fails
-    # on a traced name that was removed, renamed or no longer imported
+    # on a traced name that was removed, renamed or no longer imported, and
+    # a traced count that the run bypasses reads 0 here
     from intervaldyn import classify
     original = classify.match_omega
     tracer = _perfbench_spans().Tracer()
@@ -395,11 +400,17 @@ def test_perfbench_tracer_finds_every_traced_name(tmp_path):
         assert main(["classify", "--map", mp, "--samples", "100",
                      "--burn-in", "20", "--length", "40",
                      "--out", str(tmp_path / "c")]) == 0
+        lp = _map_file(tmp_path, mapdefs.logistic_spec(4.0), "l4.json")
+        assert main(["analyze", "--map", lp, "--period-max", "3",
+                     "--out", str(tmp_path / "a")]) == 0
     finally:
         tracer.uninstall()
     assert classify.match_omega is original
     assert tracer.counts["classify.reports"] == 1
     assert tracer.counts["classify.match_omega.calls"] == 1
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert len(report["periodic_points"]) == 10     # 2 + 2 + 6
+    assert tracer.counts["orbits.periodic_points"] == 10
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -11,6 +11,7 @@ from intervaldyn.errors import (
     ConfigError,
     DegenerateOrbitError,
     ExceptionalPointError,
+    IntervalDynError,
     OutOfRangeError,
 )
 from intervaldyn.mapcore import BranchSpec, LateralPoint, MapSpec, build_map
@@ -26,6 +27,7 @@ from intervaldyn.orbits import (
 )
 from intervaldyn.rng import SplitMix64
 import mapdefs
+import refloops
 
 
 # known-answer vector for the documented generator (seed 0)
@@ -227,6 +229,210 @@ def test_find_periodic_points_logistic32(logistic32):
     assert mults[0.6875] == pytest.approx(1.2, rel=1e-6)
     assert mults[0.513045] == pytest.approx(0.16, rel=1e-4)
     assert mults[0.799455] == pytest.approx(0.16, rel=1e-4)
+
+
+def test_find_periodic_points_rejects_bad_period_max(tent):
+    for p in (0, -3, 25):
+        with pytest.raises(ConfigError):
+            find_periodic_points(tent, p)
+
+
+def _moebius(k):
+    sign, q = 1, 2
+    while q * q <= k:
+        if k % q == 0:
+            k //= q
+            if k % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if k > 1 else sign
+
+
+def _least_period_counts(res):
+    counts = {}
+    for _, p, _ in res:
+        counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def test_find_periodic_points_moebius_counts_logistic4(logistic4):
+    # a full two-branch map has sum_{d | p} mu(p/d) 2^d points of least
+    # period p
+    counts = _least_period_counts(find_periodic_points(logistic4, 10))
+    want = {p: sum(_moebius(p // d) * 2 ** d
+                   for d in range(1, p + 1) if p % d == 0)
+            for p in range(1, 11)}
+    assert counts == want
+    assert sum(counts.values()) == 1966
+
+
+def test_find_periodic_points_doubling_lattice_to_period_8(doubling):
+    # the doubling map of the circle has 2^n - 1 points of period dividing
+    # n, the lattice k/(2^n - 1); the interval adds the fixed point 0
+    res = find_periodic_points(doubling, 8)
+    counts = _least_period_counts(r for r in res if r[0] != 0.0)
+    assert counts == {p: sum(_moebius(p // d) * (2 ** d - 1)
+                             for d in range(1, p + 1) if p % d == 0)
+                      for p in range(1, 9)}
+    assert len(res) == 472
+    xs = [x for x, _, _ in res]
+    for n in range(1, 9):
+        den = 2 ** n - 1
+        for k in range(1, den + 1):
+            assert min(abs(x - k / den) for x in xs) < 1e-12, (k, den)
+
+
+_ORACLE_FIXTURES = (
+    ("logistic4", lambda: mapdefs.logistic(4.0), 10),
+    ("logistic382", lambda: mapdefs.logistic(3.82), 10),
+    ("logistic32", lambda: mapdefs.logistic(3.2), 8),
+    ("feigenbaum", lambda: mapdefs.logistic(mapdefs.FEIGENBAUM_A), 10),
+    ("doubling", mapdefs.doubling, 8),
+    ("tent", mapdefs.tent, 8),
+    ("neutral", mapdefs.neutral, 6),
+    ("two_attractors", mapdefs.two_attractors, 8),
+    ("jump_contraction", mapdefs.jump_contraction, 8),
+    ("plateau", mapdefs.plateau, 6),
+)
+
+
+def _within_one_ulp_of_sign_change(m, x, d):
+    # g = f^d - x as computed: zero at x, or of the other sign (or zero) at
+    # a neighbouring float inside the ambient interval
+    def g(y):
+        z = m.compose(y, d)
+        return None if z is None else z - y
+    g0 = g(x)
+    if g0 == 0.0:
+        return True
+    lo, hi = m.ambient
+    for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+        if lo <= y <= hi:
+            g1 = g(y)
+            if g1 is not None and g0 * g1 <= 0.0:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name,make,period",
+                         _ORACLE_FIXTURES, ids=[f[0] for f in _ORACLE_FIXTURES])
+def test_find_periodic_points_matches_bisection_oracle(name, make, period):
+    # the bisection search that `solve` replaced: the same points and
+    # periods, moved by at most 1e-13, each next to a sign change
+    m = make()
+    new = find_periodic_points(m, period)
+    old = refloops.find_periodic_points(m, period)
+    assert len(new) == len(old)
+    assert [p for _, p, _ in new] == [p for _, p, _ in old]
+    for (x, p, _), (y, _, _) in zip(new, old):
+        assert abs(x - y) <= 1e-13, (x, y, p)
+        assert _within_one_ulp_of_sign_change(m, x, p), (x, p)
+
+
+def _solve_outcome(solve, *args):
+    try:
+        return repr(solve(*args))
+    except IntervalDynError as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def _recorded_solve_calls(m, period):
+    calls = []
+    compiled = m.solve
+
+    def rec(*args):
+        calls.append(args)
+        return compiled(*args)
+    m.__dict__["solve"] = rec
+    try:
+        find_periodic_points(m, period)
+    finally:
+        m.__dict__["solve"] = compiled
+    return calls
+
+
+def test_solve_matches_reference_loop():
+    # every solve call of the searches below, fixed points and cut
+    # preimages, then brackets on doubling whose iterates hit the cut 0.5
+    # (Brent converges onto the jumps of f^n there) and a bracket inside
+    # the doubles that the one-ulp map sends out of the ambient interval
+    cases = []
+    for m, period in ((mapdefs.logistic(4.0), 8), (mapdefs.logistic(3.82), 8),
+                      (mapdefs.two_attractors(), 6), (mapdefs.neutral(), 5),
+                      (mapdefs.doubling(), 6), (mapdefs.tent(), 6),
+                      (mapdefs.jump_contraction(), 6)):
+        cases += [(m, c) for c in _recorded_solve_calls(m, period)]
+    assert sum(len(c) == 5 for _, c in cases) > 1000     # fixed points
+    assert sum(len(c) == 6 for _, c in cases) > 500      # cut preimages
+    dbl = mapdefs.doubling()
+    hits = [0]
+
+    class Counted:
+        def compose(self, x, n):
+            y = dbl.compose(x, n)
+            hits[0] += y is None
+            return y
+    for n in (1, 2, 3, 4, 6):
+        for a, b in ((0.1, 0.4), (0.2, 0.3), (0.05, 0.45), (0.6, 0.9),
+                     (0.55, 0.95), (0.3, 0.7)):
+            for v in (None, 0.5):
+                fa = dbl.compose(a, n) - (a if v is None else v)
+                fb = dbl.compose(b, n) - (b if v is None else v)
+                if fa * fb < 0.0:
+                    cases.append((dbl, (a, b, fa, fb, n, v)))
+                    refloops.solve(Counted(), a, b, fa, fb, n, v)
+    assert hits[0] >= 10
+    e = "0.001*4*(x/0.001)*(1-x/0.001)"
+    ulp = build_map(MapSpec((BranchSpec((0.0, 5e-4), e),
+                             BranchSpec((5e-4, 1e-3), e)), (0.0, 1e-3)))
+    a, b = 5e-4 - 3e-15, math.nextafter(5e-4, 0.0)
+    cases += [(ulp, (a, b, -1.0, 1.0, 2, v)) for v in (None, 0.0, 5e-4)]
+    assert _solve_outcome(ulp.solve, a, b, -1.0, 1.0, 2).startswith(
+        "OutOfRangeError")
+    for m, args in cases:
+        assert (_solve_outcome(m.solve, *args)
+                == _solve_outcome(refloops.solve, m, *args)), args
+
+
+def test_solve_ends_on_adjacent_floats():
+    # every root of the searches below, fixed point or cut preimage, is a
+    # zero of the computed g or has a neighbouring float where g takes the
+    # other sign
+    for m, period in ((mapdefs.logistic(4.0), 8),
+                      (mapdefs.two_attractors(), 6)):
+        for a, b, fa, fb, n, *v in _recorded_solve_calls(m, period):
+            v = v[0] if v else None
+            x = m.solve(a, b, fa, fb, n, v)
+            g = [m.compose(y, n) - (y if v is None else v)
+                 for y in (math.nextafter(x, -1.0), x,
+                           math.nextafter(x, 2.0))]
+            assert g[1] == 0.0 or g[0] * g[1] < 0.0 or g[1] * g[2] < 0.0
+
+
+def test_solve_compiles_on_first_use():
+    # neither build_map nor classify compiles it; the periodic-point
+    # search does
+    m = mapdefs.logistic(3.82)
+    assert "solve" not in vars(m)
+    classify_attractors(m, ClassifyConfig(samples=100, burn_in=50,
+                                          length=100))
+    assert "solve" not in vars(m)
+    find_periodic_points(m, 3)
+    assert "solve" in vars(m)
+
+
+def test_find_periodic_points_compositions_counted(monkeypatch):
+    # through the per-evaluation reference loops every f^n is one counted
+    # `compose`: the grid, the lap ends and each step of `solve`; the
+    # points are those of the compiled search
+    for period, cap in ((10, 60_000), (12, 220_000)):
+        want = find_periodic_points(mapdefs.logistic(4.0), period)
+        with monkeypatch.context() as patch:
+            calls = refloops.install(patch)
+            got = find_periodic_points(mapdefs.logistic(4.0), period)
+        assert repr(got) == repr(want)
+        assert calls["compose"] <= cap, (period, calls["compose"])
 
 
 def test_basin_sample_logistic32_finds_two_cycle(logistic32):
