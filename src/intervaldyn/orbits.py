@@ -271,6 +271,19 @@ def _nudged(u, v):
     return u + d, v - d
 
 
+def _least_period(m, x, n):
+    """The first d <= n with |f^d(x) - x| <= 1e-8, else n (also when the
+    orbit reaches the exceptional set first), from one compiled walk.  The
+    walk runs all n steps even past a match, but every x that
+    `find_periodic_points` passes has already had its n iterates computed
+    without error (an ambient end, a grid point or a root of `solve`), so no
+    error can come from past the match there."""
+    for d, y in enumerate(m.walk(x, n), 1):
+        if abs(y - x) <= 1e-8:
+            return d
+    return n
+
+
 def find_periodic_points(m, period_max):
     """Periodic points up to period_max, as (x, least period, |multiplier|)
     sorted by x, via the laps of the iterates: the maximal intervals on
@@ -298,21 +311,10 @@ def find_periodic_points(m, period_max):
         i = bisect_left(xs, x)
         return any(abs(x - r) <= _DEDUP_TOL for r in xs[max(i - 1, 0):i + 1])
 
-    def minimal_period(x, n):
-        y = x
-        for d in range(1, n + 1):
-            try:
-                y = m.eval(y)
-            except ExceptionalPointError:
-                return n
-            if abs(y - x) <= 1e-8:
-                return d
-        return n
-
     def record(x, n):
         if known(x):
             return
-        d = minimal_period(x, n)
+        d = _least_period(m, x, n)
         try:
             log_abs, _ = m.deriv_product(x, d)
             mult = math.exp(log_abs)

@@ -2,8 +2,6 @@
 and induced-map branch graphs.  Everything is plain shapes and text in a
 single self-contained file (no scripts, no external references)."""
 
-from xml.sax.saxutils import escape
-
 from .errors import IntervalDynError
 
 _W = 640
@@ -25,6 +23,13 @@ def _svg(width, height, body, path):
 def _rect(x, y, w, h, fill, extra=""):
     return ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
             'fill="%s"%s/>' % (x, y, w, h, fill, extra))
+
+
+def escape(s):
+    """s with &, < and > as XML entities, the same replacements in the same
+    order as `xml.sax.saxutils.escape`, whose import would pull the whole
+    urllib/http/email stack into every CLI process."""
+    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _text(x, y, s, size=11, fill="#222"):

@@ -141,6 +141,19 @@ def _preimage_in(m, n, u, v, target, gu, gv):
     return 0.5 * (a + b)
 
 
+def least_period(m, x, n):
+    """The per-step loop of `orbits._least_period`: one eval per iterate."""
+    y = x
+    for d in range(1, n + 1):
+        try:
+            y = m.eval(y)
+        except ExceptionalPointError:
+            return n
+        if abs(y - x) <= 1e-8:
+            return d
+    return n
+
+
 def find_periodic_points(m, period_max):
     """Periodic points up to period_max via monotone-piece enumeration of
     the iterates: within each maximal interval on which f^n is a smooth
@@ -157,21 +170,10 @@ def find_periodic_points(m, period_max):
         i = bisect_left(xs, x)
         return any(abs(x - r) <= _DEDUP_TOL for r in xs[max(i - 1, 0):i + 1])
 
-    def minimal_period(x, n):
-        y = x
-        for d in range(1, n + 1):
-            try:
-                y = m.eval(y)
-            except ExceptionalPointError:
-                return n
-            if abs(y - x) <= 1e-8:
-                return d
-        return n
-
     def record(x, n):
         if known(x):
             return
-        d = minimal_period(x, n)
+        d = least_period(m, x, n)
         try:
             log_abs, _ = m.deriv_product(x, d)
             mult = math.exp(log_abs)

@@ -426,6 +426,34 @@ def test_module_entrypoint_runs(tmp_path):
     assert (tmp_path / "a" / "report.json").exists()
 
 
+def test_svg_escape_matches_saxutils():
+    # the SVG writer's own escape replaces the saxutils one byte for byte;
+    # saxutils is imported here only
+    from xml.sax.saxutils import escape
+    labels = ["a & b", "<g>", "x > y < z", "&amp; &lt;", "'q' \"qq\"",
+              "Mañé λ ≥ 2 — ω(c) ⊂ [0, 1]", "", "&&<<>>", "plain"]
+    for s in labels:
+        assert svgplot.escape(s) == escape(s)
+        assert svgplot._text(1.0, 2.0, s) == (
+            '<text x="1.00" y="2.00" font-family="monospace" '
+            'font-size="11" fill="#222">%s</text>' % escape(s))
+
+
+def test_cli_import_loads_no_network_or_xml_stack():
+    # a fresh interpreter: the modules `import intervaldyn.cli` adds to the
+    # interpreter's own set (its `site` may already hold urllib.parse)
+    pkg_root = os.path.dirname(os.path.dirname(intervaldyn.__file__))
+    code = ("import sys; before = set(sys.modules); import intervaldyn.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=pkg_root))
+    added = proc.stdout.split()
+    assert "intervaldyn.svgplot" in added
+    banned = {"xml", "urllib", "http", "email", "ssl", "socket"}
+    assert [n for n in added if n.split(".")[0] in banned] == []
+
+
 def test_package_imports_only_stdlib():
     # the package promises to run on the standard library alone
     pkg_dir = os.path.dirname(intervaldyn.__file__)

@@ -330,9 +330,9 @@ def test_find_periodic_points_matches_bisection_oracle(name, make, period):
         assert _within_one_ulp_of_sign_change(m, x, p), (x, p)
 
 
-def _solve_outcome(solve, *args):
+def _repr_outcome(fn, *args):
     try:
-        return repr(solve(*args))
+        return repr(fn(*args))
     except IntervalDynError as e:
         return "%s: %s" % (type(e).__name__, e)
 
@@ -388,11 +388,11 @@ def test_solve_matches_reference_loop():
                              BranchSpec((5e-4, 1e-3), e)), (0.0, 1e-3)))
     a, b = 5e-4 - 3e-15, math.nextafter(5e-4, 0.0)
     cases += [(ulp, (a, b, -1.0, 1.0, 2, v)) for v in (None, 0.0, 5e-4)]
-    assert _solve_outcome(ulp.solve, a, b, -1.0, 1.0, 2).startswith(
+    assert _repr_outcome(ulp.solve, a, b, -1.0, 1.0, 2).startswith(
         "OutOfRangeError")
     for m, args in cases:
-        assert (_solve_outcome(m.solve, *args)
-                == _solve_outcome(refloops.solve, m, *args)), args
+        assert (_repr_outcome(m.solve, *args)
+                == _repr_outcome(refloops.solve, m, *args)), args
 
 
 def test_solve_ends_on_adjacent_floats():
@@ -420,6 +420,27 @@ def test_solve_compiles_on_first_use():
     assert "solve" not in vars(m)
     find_periodic_points(m, 3)
     assert "solve" in vars(m)
+
+
+def test_least_period_matches_per_step_loop():
+    # the periodic points of each search at every n up to the period, then
+    # dyadic starts that reach the cut 0.5 of doubling and tent exactly
+    # (a short walk) and starts that leave the ambient interval
+    cases = []
+    for m, period in ((mapdefs.logistic(4.0), 8), (mapdefs.doubling(), 6),
+                      (mapdefs.tent(), 6), (mapdefs.neutral(), 5),
+                      (mapdefs.jump_contraction(), 6)):
+        for x, _, _ in find_periodic_points(m, period):
+            cases += [(m, x, n) for n in range(1, period + 1)]
+    for m in (mapdefs.doubling(), mapdefs.tent()):
+        for x in (0.0, 0.125, 0.25, 0.375, 0.75, 1.0, 0.3):
+            cases += [(m, x, n) for n in (1, 2, 3, 5)]
+    cases += [(mapdefs.logistic(4.0), x, 3) for x in (-0.5, 1.5, math.nan)]
+    assert sum(refloops.least_period(m, x, n) < n for m, x, n in cases
+               if m.ambient[0] <= x <= m.ambient[1]) > 100
+    for m, x, n in cases:
+        assert (_repr_outcome(orbits._least_period, m, x, n)
+                == _repr_outcome(refloops.least_period, m, x, n)), (x, n)
 
 
 def test_find_periodic_points_compositions_counted(monkeypatch):
