@@ -102,15 +102,13 @@ def growth_test(m, x, avoid, n_max):
     maxlog = 0.0           # n = 0 term: |Df^0| = 1
     for k in range(n_max):
         try:
-            x, d = m.step(x)
+            x, logd, _ = m.compose_deriv(x, 1)
         except IntervalDynError:
-            d = 0.0
-        if d == 0.0:
             # exact hit of an undefined point (or a critical point): the
             # singular core of the avoided region
             return GrowthRecord("CAPTURED", _exp(maxlog), k,
                                 captured_at=k)
-        logsum += math.log(abs(d))
+        logsum += logd
         maxlog = max(maxlog, logsum)
         if maxlog > _GROWTH_LOG:
             return GrowthRecord("GROWTH", _exp(maxlog), k + 1)

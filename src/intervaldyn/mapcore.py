@@ -19,41 +19,26 @@ Exact binary64 equality decides membership in the exceptional set: the
 orbit of a typical point never hits it, while an exact hit is a meaningful
 event that orbit code reports instead of fudging.
 
-Stepping has one path.  Each map compiles its branch lookup once into a
-straight-line comparison ladder over the cuts, with the branch formulas
-inlined, and emits it in five shapes: `PiecewiseMap.eval` returns f(x),
-`PiecewiseMap.step` returns (f(x), Df(x)), `PiecewiseMap.walk` returns the
-iterates x_1 .. x_n from one compiled loop, `PiecewiseMap.compose` returns
-f^n(x) alone, and `PiecewiseMap.compose_deriv` returns f^n(x) with the log
-and sign of D(f^n)(x).  `eval` and `step` raise `ExceptionalPointError` on
-an exceptional hit; `walk` stops short, `compose` returns None and
-`compose_deriv` raises `OrbitHitsExceptionalError` instead.  Basin sampling
-and omega covers run on `walk`; f^n in the periodic-point search and the
-pull-backs of cylinder refinement, and the induced-map evaluation, run on
-`compose`; `deriv_product` and every induced-branch step that needs its
-derivative run on `compose_deriv`; loops that stop on a condition of their
-own run on `eval` and `step`.
-
-Three more shapes on the same arms are compiled on first access, not in
-`build_map`, because each serves one analysis and compiling its source
-would make every map build slower.  The sixth, `PiecewiseMap.induce`,
-walks an induced map, given as tables of branch domains and return times,
-until an iterate returns into an interval: the neutral-core flank probes
-and the F^2 scan of `induction.expansion_analysis` run on it, through
-`InducedMap.induce`; its source holds every arm twice.  The seventh,
-`PiecewiseMap.harvest`, follows one orbit and reports its maximal runs
-outside a set U, with their log-derivatives: `mane.harvest_segments` runs
-one call of it per sample.  The eighth, `PiecewiseMap.solve`, finds a root
-of f^n(x) - x or f^n(x) - c in a sign-change bracket by Brent's method,
-finished by bisection down to two adjacent floats:
-`orbits.find_periodic_points` runs one call of it per periodic point and
-per lap cut.
+Stepping has one path: the shapes of `PiecewiseMap` (`eval`, `walk`,
+`compose`, `compose_deriv`, `induce`, `harvest` and `solve`).  Each is
+written once, as an ordinary function whose per-step branch work is a
+`with ARMS:` block in the names F and DF, and a map compiles it on its
+first use: `_expand` puts the map's comparison ladder over the cuts in
+place of each block, one arm per branch with that branch's formulas
+inlined, and the result is compiled under this file's name at the
+template's own lines, so that a formula error points at its template.  At
+an exceptional hit `eval` raises `ExceptionalPointError`, `walk` stops
+short, `compose` returns None and `compose_deriv` raises
+`OrbitHitsExceptionalError`.
 """
 
+import ast
+import copy
+import inspect
 import math
 from bisect import bisect_right, bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, wraps
 
 from . import expr as ex
 from .errors import (
@@ -145,275 +130,96 @@ def _midgrid(a, b, n):
     return [a + (k + 0.5) * w / n for k in range(n)]
 
 
-def _compile_ladders(branches, ambient, exceptional):
-    """Compile the branch lookup and the branch formulas together into five
-    shapes, and three more on demand: `f(x)`; `step(x) = (f(x), Df(x))`;
-    `walk(x, n)`, the list of iterates x_1 .. x_n; `compose(x, n) = f^n(x)`;
-    and
-    `compose_deriv(x, n) = (f^n(x), sum of log|Df|, product of the signs
-    of Df)`.  One arm per branch, shared by all the shapes: one comparison
-    per cut, where every interior cut is exceptional and open on both sides
-    and the ambient ends are closed.  Every other x (NaN too) falls through
-    to one raise.  At an exceptional point `walk` instead returns early,
-    shorter than n, `compose` returns None, and `compose_deriv` raises
-    `OrbitHitsExceptionalError` with the step index.  `step` and
-    `compose_deriv` evaluate Df before f, and `compose_deriv` raises
-    `ZeroDerivativeError` after both.  The formulas are the `expr` codegen
-    source of the branch closures, so values agree with them bit for
-    bit.
+# ---------------------------------------------------------------------------
+# shape templates
 
-    The sixth shape, `induce` (see `PiecewiseMap.induce`), walks an induced
-    map on the same arms, for the flank probes and the F^2 scan of
-    `induction.expansion_analysis`.  A step of return time 1 runs the arms
-    once, outside the per-step loop, and each arm returns or goes on to the
-    next step, so an x that no arm takes falls through to the 'aborted'
-    exit; without it a perfbench `long_orbits` round takes 7% longer.  So
-    its source holds every arm twice, and only return-map analysis uses
-    it: compiled with the other five it made every `build_map` slower
-    (logistic, fastest of 500: 1.2 to 1.8 ms, 2-vCPU Xeon), and a
-    perfbench `param_sweep` round 6% slower.
+# Placeholders that the shape templates are written in, never evaluated:
+# `_expand` replaces ARMS, F and DF (a template's only `with` statements are
+# its ARMS blocks), and EXC is the map's exceptional set.
+ARMS = F = DF = EXC = None
 
-    The seventh shape, `harvest` (see `PiecewiseMap.harvest`), is the
-    per-sample loop of `mane.harvest_segments`; only `mane` uses it, and
-    compiling it takes 0.5 to 0.7 ms (logistic and the neutral fixture,
-    fastest of 200, 2-vCPU Xeon), which every map build would pay.
 
-    The eighth shape, `solve` (see `PiecewiseMap.solve`), is the root
-    finder of `orbits.find_periodic_points`, for its fixed points of f^n
-    and for the cut preimages that split its laps; only `analyze` and
-    `mane` use it, and compiling it takes 0.8 to 0.9 ms (logistic and the
-    neutral fixture, fastest of 200, 2-vCPU Xeon).  Its f^n is `compose`'s
-    loop, run once per Brent or bisection step.
+def _shape(template):
+    """The shape `template` as a property of each map: expanded over the
+    map's arms and compiled on first access, under this file's name at the
+    template's own lines, then kept in the map's `__dict__`."""
+    @wraps(template)
+    def compiled(m):
+        fn = copy.copy(_template(template))
+        fn.decorator_list = []
+        fn.body = _expand(fn.body, m._arms, {})
+        ns = dict(globals(), _m=math, _sp=ex._signed_pow,
+                  EXC=frozenset(m.exceptional))
+        exec(compile(ast.Module([fn], []), __file__, "exec"), ns)
+        return ns[fn.name]
+    return cached_property(compiled)
 
-    The last element returned maps 'induce', 'harvest' and 'solve' to
-    functions that compile them; `PiecewiseMap` calls each on first
-    access."""
-    hi = ambient[1]
-    exc = frozenset(exceptional)
 
-    def miss(x):
-        return ExceptionalPointError(x) if x in exc else OutOfRangeError(x)
+@cache
+def _template(fn):
+    """The parsed `def` of the shape template `fn`, at its own lines."""
+    lines, first = inspect.getsourcelines(fn)
+    # an `if 1:` on the line above lets the indented block parse in place
+    src = "\n" * (first - 2) + "if 1:\n" + "".join(lines)
+    return ast.parse(src).body[0].body[0]
 
-    def zero(x):
-        return ZeroDerivativeError("derivative vanishes at x=%r" % (x,))
 
-    arms = []   # (upper test, lower test, f source, Df source)
-    for i, b in enumerate(branches):
-        if i + 1 < len(branches):
-            upper = "x < %r" % (branches[i + 1].lo,)
-        else:
-            upper = "x <= %r" % (hi,)
-        lower = ("x > %r" if i else "x >= %r") % (b.lo,)
-        arms.append((upper, lower, ex._codegen(b.ast), ex._codegen(b.d_ast)))
+def _expand(stmts, arms, trees):
+    """Template statements `stmts` with each `with ARMS:` block among them
+    replaced by the comparison ladder over `arms`: per branch, `if upper:
+    if lower:` and the block, where a statement whose value is a name in
+    `trees` (F or DF) gets a copy of the branch's tree placed at that name.
+    An x that no arm takes (NaN too) goes on past the ladder, so a block
+    ends in a jump.  Only compound statements are copied; the rest are
+    shared with the template."""
+    out = []
+    for s in stmts:
+        name = getattr(s, "value", None)
+        if isinstance(s, ast.With):
+            at = {k: getattr(s, k) for k in s._attributes}
+            x = ast.Name("x", ast.Load(), **at)
+            ladder = []
+            for upper, lower, f, df in reversed(arms):
+                upper, lower = [
+                    ast.Compare(x, [op], [ast.Constant(cut, **at)], **at)
+                    for op, cut in (upper, lower)]
+                body = _expand(s.body, arms, {"F": f, "DF": df})
+                ladder = [ast.If(upper, [ast.If(lower, body, [], **at)],
+                                 ladder, **at)]
+            s = ladder[0]
+        elif isinstance(s, (ast.For, ast.While, ast.If)):
+            s = copy.copy(s)
+            s.body = _expand(s.body, arms, trees)
+            s.orelse = _expand(s.orelse, arms, trees)
+        elif isinstance(name, ast.Name) and name.id in trees:
+            s = copy.copy(s)
+            s.value = _placed(trees[name.id],
+                              {k: getattr(name, k) for k in name._attributes})
+        out.append(s)
+    return out
 
-    def ladder(body, pad):
-        src = []
-        for i, (upper, lower, f, df) in enumerate(arms):
-            src += [pad + "%s %s:" % ("elif" if i else "if", upper),
-                    pad + "    if %s:" % lower]
-            src += [pad + "        " + line
-                    for line in body.format(f=f, df=df).split("\n")]
-        return src
 
-    def loop(head, body, hit, tail):
-        return (head + ["    for i in range(n):"] + ladder(body, "        ")
-                + ["        if x in _exc:", "            " + hit,
-                   "        raise _miss(x)", "    " + tail])
-
-    def compile_shapes(src, names):
-        ns = {"_m": math, "_sp": ex._signed_pow, "_miss": miss,
-              "_zero": zero, "_hit": OrbitHitsExceptionalError, "_exc": exc,
-              "_bisect": bisect_right, "_ulp": math.ulp,
-              "_copysign": math.copysign}
-        exec("\n".join(src), ns)
-        return tuple(ns[k] for k in names)
-
-    def compile_induce():
-        # (a, b) is the previous step's branch, empty at the start; the
-        # time-1 step's `s += log|Df|` equals adding a per-branch sum
-        # 0.0 + log|Df| bit for bit, as log never returns -0.0
-        abort = "return 'aborted', %s, s, n"
-        src = (["def induce(x, k, lo, hi, cap, los, his, times):",
-                "    s = 0.0",
-                "    n = 0",
-                "    a = b = 0.0",
-                "    for _ in range(k):",
-                "        if not a < x < b:",
-                "            j = _bisect(los, x) - 1",
-                "            if j < 0:",
-                "                " + abort % "x",
-                "            a = los[j]",
-                "            b = his[j]",
-                "            if not a < x < b:",
-                "                " + abort % "x",
-                "            t = times[j]",
-                "        n += t",
-                "        if n > cap:",
-                "            return 'unreturned', x, s, n",
-                "        if t == 1:"]
-               + ladder("d = {df}; y = {f}\n"
-                        "if d == 0.0: " + abort % "x" + "\n"
-                        "s += _m.log(abs(d))\n"
-                        "x = y\n"
-                        "if lo < x < hi: return 'returned', x, s, n\n"
-                        "continue", "            ")
-               + ["            " + abort % "x",
-                  "        u = x",
-                  "        p = 0.0",
-                  "        for i in range(t):"]
-               + ladder("d = {df}; y = {f}\n"
-                        "if d == 0.0: " + abort % "u" + "\n"
-                        "p += _m.log(abs(d))\n"
-                        "x = y; continue", "            ")
-               + ["            " + abort % "u",
-                  "        s += p",
-                  "        if lo < x < hi:",
-                  "            return 'returned', x, s, n",
-                  "    return 'done', x, s, n"])
-        return compile_shapes(src, ("induce",))[0]
-
-    def compile_harvest():
-        # r, s and x0 are the open run's length, log sum and start; the
-        # for-else runs the outside-U arms when no component holds x, and
-        # a break out of the step loop is where step/eval would raise
-        src = (["def harvest(x, k, n_max, U, put):",
-                "    r = 0",
-                "    s = 0.0",
-                "    x0 = x",
-                "    for _ in range(k):",
-                "        for a, b in U:",
-                "            if a < x < b:",
-                "                break",
-                "        else:"]
-               + ladder("d = {df}; y = {f}\n"
-                        "if d == 0.0: break\n"
-                        "if not r: x0 = x\n"
-                        "s += _m.log(abs(d))\n"
-                        "r += 1\n"
-                        "if r == n_max: put((x0, r, s)); r = 0; s = 0.0\n"
-                        "x = y; continue", "            ")
-               + ["            break",
-                  "        if r:",
-                  "            put((x0, r, s))",
-                  "            r = 0",
-                  "            s = 0.0"]
-               + ladder("x = {f}; continue", "        ")
-               + ["        break",
-                  "    if r:",
-                  "        put((x0, r, s))"])
-        return compile_shapes(src, ("harvest",))[0]
-
-    def compile_solve():
-        # Brent's method (zbrent, Numerical Recipes 9.3) on (b, c) while
-        # the bracket is wider than 2 ulps of b, then bisection; b is the
-        # best point, a the previous one; t is the next point and u the
-        # one evaluated, t itself or once nudged toward c after a hit
-        src = (["def solve(a, b, fa, fb, n, v=None):",
-                "    c = a",
-                "    fc = fa",
-                "    d = e = b - a",
-                "    brent = True",
-                "    while True:",
-                "        if brent:",
-                "            if (fb > 0.0) == (fc > 0.0):",
-                "                c = a",
-                "                fc = fa",
-                "                d = e = b - a",
-                "            if abs(fc) < abs(fb):",
-                "                a = b",
-                "                b = c",
-                "                c = a",
-                "                fa = fb",
-                "                fb = fc",
-                "                fc = fa",
-                "            tol = _ulp(b)",
-                "            h = 0.5 * (c - b)",
-                "            brent = not -tol <= h <= tol",
-                "        if brent:",
-                "            if not -tol < e < tol and abs(fa) > abs(fb):",
-                "                s = fb / fa",
-                "                if a == c:",
-                "                    p = 2.0 * h * s",
-                "                    q = 1.0 - s",
-                "                else:",
-                "                    q = fa / fc",
-                "                    r = fb / fc",
-                "                    p = s * (2.0 * h * q * (q - r)"
-                " - (b - a) * (r - 1.0))",
-                "                    q = (q - 1.0) * (r - 1.0) * (s - 1.0)",
-                "                if p > 0.0:",
-                "                    q = -q",
-                "                else:",
-                "                    p = -p",
-                "                if (2.0 * p < 3.0 * h * q - abs(tol * q)",
-                "                        and 2.0 * p < abs(e * q)):",
-                "                    e = d",
-                "                    d = p / q",
-                "                else:",
-                "                    d = e = h",
-                "            else:",
-                "                d = e = h",
-                "            a = b",
-                "            fa = fb",
-                "            t = b + (_copysign(tol, h) if -tol <= d <= tol"
-                " else d)",
-                "        else:",
-                "            t = 0.5 * (b + c)",
-                "            if not (b < t < c or c < t < b):",
-                "                return b if abs(fb) <= abs(fc) else c",
-                "        u = t",
-                "        while True:",
-                "            x = u",
-                "            for i in range(n):"]
-               + ladder("x = {f}; continue", "                ")
-               + ["                if x in _exc:",
-                  "                    break",
-                  "                raise _miss(x)",
-                  "            else:",
-                  "                break",
-                  "            if u != t:",
-                  "                return b",
-                  "            u = t + (c - b) * 1e-3",
-                  "            if u == t or not (b < u < c or c < u < b):",
-                  "                return b",
-                  "        g = x - (u if v is None else v)",
-                  "        if g == 0.0:",
-                  "            return u",
-                  "        if brent or (g > 0.0) == (fb > 0.0):",
-                  "            b = u",
-                  "            fb = g",
-                  "        else:",
-                  "            c = u",
-                  "            fc = g"])
-        return compile_shapes(src, ("solve",))[0]
-
-    src = (["def f(x):"] + ladder("return {f}", "    ")
-           + ["    raise _miss(x)", "def step(x):"]
-           + ladder("d = {df}; return {f}, d", "    ")
-           + ["    raise _miss(x)"]
-           + loop(["def walk(x, n):", "    out = []", "    put = out.append"],
-                  "x = {f}; put(x); continue", "return out", "return out")
-           + loop(["def compose(x, n):"], "x = {f}; continue",
-                  "return None", "return x")
-           + loop(["def compose_deriv(x, n):", "    s = 0.0", "    sg = 1"],
-                  "d = {df}; y = {f}\n"
-                  "if d == 0.0: raise _zero(x)\n"
-                  "s += _m.log(abs(d))\n"
-                  "if d < 0.0: sg = -sg\n"
-                  "x = y; continue",
-                  "raise _hit(i, x)", "return x, s, sg"))
-    return compile_shapes(src, ("f", "step", "walk", "compose",
-                                "compose_deriv")) + (
-        {"induce": compile_induce, "harvest": compile_harvest,
-         "solve": compile_solve},)
+def _placed(node, at):
+    """A copy of the expression tree `node` with every node at the place
+    `at`, so that a traceback shows the template line."""
+    if not node._attributes:   # operators and contexts have no place
+        return node
+    fields = {}
+    for name in node._fields:
+        value = getattr(node, name)
+        if isinstance(value, list):
+            value = [_placed(v, at) for v in value]
+        elif isinstance(value, ast.AST):
+            value = _placed(value, at)
+        fields[name] = value
+    return type(node)(**fields, **at)
 
 
 class PiecewiseMap:
     """Compiled piecewise map, made by `build_map` from branches sorted by
     domain.  `exceptional` is the set of undefined points: every interior
-    branch cut.  `eval`, `step`, `walk`, `compose` and `compose_deriv` are
-    the stepping path; `induce`, `harvest` and `solve` are compiled on
-    first access (see the module docstring)."""
+    branch cut.  Each shape of the stepping path is compiled from its
+    template on first use (see the module docstring)."""
 
     def __init__(self, branches, ambient, lateral_values, orders):
         self.branches = branches
@@ -422,9 +228,19 @@ class PiecewiseMap:
         self.lateral_values = lateral_values
         self.orders = orders
         self._cuts = [b.lo for b in self.branches]
-        (self._eval, self._step, self._walk, self._compose,
-         self._compose_deriv, self._lazy) = _compile_ladders(
-            self.branches, ambient, self.exceptional)
+
+    @cached_property
+    def _arms(self):
+        """(upper test, lower test, f tree, Df tree) per branch, a test
+        being (operator, cut): interior cuts are open on both sides, the
+        ambient ends closed.  The trees are the `expr` codegen of the branch
+        closures, so the shapes agree with them bit for bit."""
+        last = len(self.branches) - 1
+        return [((ast.Lt() if i < last else ast.LtE(), b.hi),
+                 (ast.Gt() if i else ast.GtE(), b.lo))
+                + tuple(ast.parse(ex._codegen(t), mode="eval").body
+                        for t in (b.ast, b.d_ast))
+                for i, b in enumerate(self.branches)]
 
     # -- lookup ------------------------------------------------------------
 
@@ -448,34 +264,75 @@ class PiecewiseMap:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x):
-        return self._eval(x)
+        return self._f(x)
 
-    def step(self, x):
-        """(f(x), Df(x)) in one ladder pass."""
-        return self._step(x)
+    @_shape
+    def _f(x):
+        """f(x), for `eval`."""
+        with ARMS:
+            return F
+        raise ExceptionalPointError(x) if x in EXC else OutOfRangeError(x)
 
-    def walk(self, x, n):
+    @_shape
+    def walk(x, n):
         """The iterates x_1 .. x_n of x in one compiled loop.  Shorter than n
         when the orbit reaches the exceptional set: the last iterate (x
         itself if none) is then the exceptional point that eval would have
         raised at.  Raises OutOfRangeError where eval does."""
-        return self._walk(x, n)
+        out = []
+        put = out.append
+        for i in range(n):
+            with ARMS:
+                x = F
+                put(x)
+                continue
+            if x in EXC:
+                return out
+            raise OutOfRangeError(x)
+        return out
 
-    def compose(self, x, n):
+    @_shape
+    def compose(x, n):
         """f^n(x) from one compiled loop, without the list of `walk`; None
         where `walk` would stop short.  Raises OutOfRangeError where eval
         does."""
-        return self._compose(x, n)
+        for i in range(n):
+            with ARMS:
+                x = F
+                continue
+            if x in EXC:
+                return None
+            raise OutOfRangeError(x)
+        return x
 
-    def compose_deriv(self, x, n):
+    @_shape
+    def compose_deriv(x, n):
         """(f^n(x), sum of log|Df| along the n steps, product of the signs
-        of Df) from one compiled loop.  Raises OrbitHitsExceptionalError(i,
-        x) when step i starts on the exceptional point x, and
-        ZeroDerivativeError where Df vanishes."""
-        return self._compose_deriv(x, n)
+        of Df) from one compiled loop.  Each step evaluates Df before f.
+        Raises OrbitHitsExceptionalError(i, x) when step i starts on the
+        exceptional point x, ZeroDerivativeError where Df vanishes, and
+        OutOfRangeError where eval does."""
+        s = 0.0
+        sg = 1
+        for i in range(n):
+            with ARMS:
+                d = DF
+                y = F
+                if d == 0.0:
+                    raise ZeroDerivativeError(
+                        "derivative vanishes at x=%r" % (x,))
+                s += math.log(abs(d))
+                if d < 0.0:
+                    sg = -sg
+                x = y
+                continue
+            if x in EXC:
+                raise OrbitHitsExceptionalError(i, x)
+            raise OutOfRangeError(x)
+        return x, s, sg
 
-    @cached_property
-    def induce(self):
+    @_shape
+    def induce(x, k, lo, hi, cap, los, his, times):
         """`induce(x, k, lo, hi, cap, los, his, times)` walks the induced
         map whose branches are (los[j], his[j]) with return times times[j],
         from x, in one compiled loop; los is sorted.
@@ -491,26 +348,108 @@ class PiecewiseMap:
         meets Df = 0.  Returns (state, x, log sum, f-steps); after 'aborted'
         and 'unreturned', x and the log sum are those before the failed
         step, and the f-steps include its time once it has a branch.
-        Errors of the branch formulas propagate, as in `compose_deriv`.
-        The loop is compiled on first access."""
-        return self._lazy["induce"]()
+        Errors of the branch formulas propagate, as in `compose_deriv`."""
+        # (a, b) is the previous step's branch, empty at the start; a step
+        # of time 1 runs the arms outside the per-step loop (a `long_orbits`
+        # round takes 7% longer without), and its `s += log|Df|` equals
+        # adding 0.0 + log|Df| bit for bit, as log never returns -0.0
+        s = 0.0
+        n = 0
+        a = b = 0.0
+        for _ in range(k):
+            if not a < x < b:
+                j = bisect_right(los, x) - 1
+                if j < 0:
+                    return "aborted", x, s, n
+                a = los[j]
+                b = his[j]
+                if not a < x < b:
+                    return "aborted", x, s, n
+                t = times[j]
+            n += t
+            if n > cap:
+                return "unreturned", x, s, n
+            if t == 1:
+                with ARMS:
+                    d = DF
+                    y = F
+                    if d == 0.0:
+                        return "aborted", x, s, n
+                    s += math.log(abs(d))
+                    x = y
+                    if lo < x < hi:
+                        return "returned", x, s, n
+                    continue
+                return "aborted", x, s, n
+            u = x
+            p = 0.0
+            for i in range(t):
+                with ARMS:
+                    d = DF
+                    y = F
+                    if d == 0.0:
+                        return "aborted", u, s, n
+                    p += math.log(abs(d))
+                    x = y
+                    continue
+                return "aborted", u, s, n
+            s += p
+            if lo < x < hi:
+                return "returned", x, s, n
+        return "done", x, s, n
 
-    @cached_property
-    def harvest(self):
+    @_shape
+    def harvest(x, k, n_max, U, put):
         """`harvest(x, k, n_max, U, put)` follows the orbit of x for k
         iterates in one compiled loop and calls put((start, n, log|Df^n|
         (start))) for each maximal run of iterates outside U, cut every
         n_max steps.  An iterate lies in U when a < x < b for some (a, b)
         in U.  Inside U the run is closed and f applied; outside, Df is
         evaluated before f, the walk stops where Df = 0, and log|Df| is
-        added to the run.  The walk also stops where `step` or `eval`
-        would raise (an exceptional point, outside the ambient interval,
-        NaN), and closes the open run at its end.  Errors of the branch
-        formulas propagate.  The loop is compiled on first access."""
-        return self._lazy["harvest"]()
+        added to the run.  The walk also stops where `eval` would raise (an
+        exceptional point, outside the ambient interval, NaN), and closes
+        the open run at its end.  Errors of the branch formulas
+        propagate."""
+        # r, s and x0 are the open run's length, log sum and start; the
+        # for-else runs the outside-U arms when no component holds x, and
+        # a break out of the step loop is where eval would raise
+        r = 0
+        s = 0.0
+        x0 = x
+        for _ in range(k):
+            for a, b in U:
+                if a < x < b:
+                    break
+            else:
+                with ARMS:
+                    d = DF
+                    y = F
+                    if d == 0.0:
+                        break
+                    if not r:
+                        x0 = x
+                    s += math.log(abs(d))
+                    r += 1
+                    if r == n_max:
+                        put((x0, r, s))
+                        r = 0
+                        s = 0.0
+                    x = y
+                    continue
+                break
+            if r:
+                put((x0, r, s))
+                r = 0
+                s = 0.0
+            with ARMS:
+                x = F
+                continue
+            break
+        if r:
+            put((x0, r, s))
 
-    @cached_property
-    def solve(self):
+    @_shape
+    def solve(a, b, fa, fb, n, v=None):
         """`solve(a, b, ga, gb, n, v=None)` finds a root of g(x) = f^n(x) - x,
         or of g(x) = f^n(x) - v when v is given, in the bracket between a
         and b, where ga = g(a) and gb = g(b) have opposite signs, in one
@@ -521,9 +460,88 @@ class PiecewiseMap:
         arithmetic; an evaluation that hits the exceptional set is retried
         once at a point moved by 1e-3 of the bracket inward, and a second
         hit (or a move that leaves the bracket) returns the best end so
-        far.  OutOfRangeError and errors of the branch formulas propagate.
-        The loop is compiled on first access."""
-        return self._lazy["solve"]()
+        far.  OutOfRangeError and errors of the branch formulas
+        propagate."""
+        # Brent's method (zbrent, Numerical Recipes 9.3) on (b, c) while
+        # the bracket is wider than 2 ulps of b, then bisection; b is the
+        # best point, a the previous one; t is the next point and u the
+        # one evaluated, t itself or once nudged toward c after a hit
+        c = a
+        fc = fa
+        d = e = b - a
+        brent = True
+        while True:
+            if brent:
+                if (fb > 0.0) == (fc > 0.0):
+                    c = a
+                    fc = fa
+                    d = e = b - a
+                if abs(fc) < abs(fb):
+                    a = b
+                    b = c
+                    c = a
+                    fa = fb
+                    fb = fc
+                    fc = fa
+                tol = math.ulp(b)
+                h = 0.5 * (c - b)
+                brent = not -tol <= h <= tol
+            if brent:
+                if not -tol < e < tol and abs(fa) > abs(fb):
+                    s = fb / fa
+                    if a == c:
+                        p = 2.0 * h * s
+                        q = 1.0 - s
+                    else:
+                        q = fa / fc
+                        r = fb / fc
+                        p = s * (2.0 * h * q * (q - r) - (b - a) * (r - 1.0))
+                        q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+                    if p > 0.0:
+                        q = -q
+                    else:
+                        p = -p
+                    if (2.0 * p < 3.0 * h * q - abs(tol * q)
+                            and 2.0 * p < abs(e * q)):
+                        e = d
+                        d = p / q
+                    else:
+                        d = e = h
+                else:
+                    d = e = h
+                a = b
+                fa = fb
+                t = b + (math.copysign(tol, h) if -tol <= d <= tol else d)
+            else:
+                t = 0.5 * (b + c)
+                if not (b < t < c or c < t < b):
+                    return b if abs(fb) <= abs(fc) else c
+            u = t
+            while True:
+                x = u
+                for i in range(n):
+                    with ARMS:
+                        x = F
+                        continue
+                    if x in EXC:
+                        break
+                    raise OutOfRangeError(x)
+                else:
+                    break
+                if u != t:
+                    return b
+                u = t + (c - b) * 1e-3
+                if u == t or not (b < u < c or c < u < b):
+                    return b
+            g = x - (u if v is None else v)
+            if g == 0.0:
+                return u
+            if brent or (g > 0.0) == (fb > 0.0):
+                b = u
+                fb = g
+            else:
+                c = u
+                fc = g
 
     def deriv(self, x):
         return self.branch_at(x).df(x)
@@ -536,7 +554,7 @@ class PiecewiseMap:
     def deriv_product(self, x, n):
         """(sum of log|Df| along n steps, product of derivative signs).
         Log space keeps 1e6-step products finite."""
-        return self._compose_deriv(x, n)[1:]
+        return self.compose_deriv(x, n)[1:]
 
     def nonlinearity(self):
         """sup |D2f| / |Df| over the validation grids of all branches; the

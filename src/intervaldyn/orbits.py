@@ -19,8 +19,8 @@ from .errors import (
     DegenerateOrbitError,
     ExceptionalPointError,
     IntervalDynError,
+    OrbitHitsExceptionalError,
     OutOfRangeError,
-    ZeroDerivativeError,
 )
 from .mapcore import LateralPoint
 from .rng import SplitMix64
@@ -51,13 +51,11 @@ def orbit(m, x, n):
     terminated = None
     for k in range(n):
         try:
-            y, d = m.step(x)
-        except ExceptionalPointError:
+            y, logd, _ = m.compose_deriv(x, 1)
+        except OrbitHitsExceptionalError:
             terminated = k
             break
-        if d == 0.0:
-            raise ZeroDerivativeError("derivative vanishes at x=%r" % (x,))
-        prefix.append(prefix[-1] + math.log(abs(d)))
+        prefix.append(prefix[-1] + logd)
         x = y
         iterates.append(x)
     else:

@@ -28,13 +28,22 @@ from intervaldyn.orbits import _CYL_CAP, _DEDUP_TOL, _nudged
 from intervaldyn.rng import SplitMix64
 
 
+def _step(m, x):
+    """(f(x), Df(x)) through `branch_at` and the branch closures, Df
+    first: the per-step evaluation of the references, independent of the
+    compiled shapes."""
+    b = m.branch_at(x)
+    d = b.df(x)
+    return b.f(x), d
+
+
 def deriv_product(m, x, n):
     """`PiecewiseMap.deriv_product`: (sum of log|Df|, sign product)."""
     log_abs = 0.0
     sign = 1
     for i in range(n):
         try:
-            y, d = m.step(x)
+            y, d = _step(m, x)
         except ExceptionalPointError:
             raise OrbitHitsExceptionalError(i, x) from None
         if d == 0.0:
@@ -306,7 +315,7 @@ def induced_step(m, x, time):
     logd = 0.0
     try:
         for _ in range(time):
-            x, d = m.step(x)
+            x, d = _step(m, x)
             if d == 0.0:
                 return None
             logd += math.log(abs(d))
@@ -425,7 +434,7 @@ def harvest_from(m, U, x, n_max, segs):
                 break
             continue
         try:
-            nxt, d = m.step(x)
+            nxt, d = _step(m, x)
         except IntervalDynError:
             break
         if d == 0.0:
@@ -443,7 +452,7 @@ def harvest_from(m, U, x, n_max, segs):
 
 
 def harvest_segments(m, U, samples, n_max, seed):
-    """`mane.harvest_segments`: one `step` or `eval` per iterate."""
+    """`mane.harvest_segments`: one `_step` or `eval` per iterate."""
     rng = SplitMix64(seed)
     lo, hi = m.ambient
     segs = []

@@ -5,12 +5,14 @@ values are frozen exactly; the a=3.2 two-cycle violation is additionally
 checked against its closed form.
 """
 
+import inspect
 import math
 
 import pytest
 
 import mapdefs
 import refloops
+from intervaldyn import mapcore
 from intervaldyn.errors import ConfigError, UNotCoveringError
 from intervaldyn.mapcore import BranchSpec, MapSpec, build_map
 from intervaldyn.mane import (
@@ -259,14 +261,27 @@ def test_harvest_from_hand_picked_starts():
     for U in ([], [(4e-4, 4.5e-4)], [(4.9e-4, 5.1e-4)]):
         _assert_harvest_matches_reference(ulp, U, starts)
     assert _harvest_outcome(_compiled, ulp, [], x, 5) == repr(
-        [(x, 1, math.log(abs(ulp.step(x)[1])))])
+        [(x, 1, math.log(abs(ulp.branch_at(x).df(x))))])
 
 
-def test_harvest_and_induce_compile_on_first_use(logistic4):
-    # build_map compiles neither shape; the first harvest compiles only
-    # its own
-    assert "harvest" not in vars(logistic4)
-    assert "induce" not in vars(logistic4)
-    harvest_segments(logistic4, [(0.4, 0.6)], 1, 5, 0)
-    assert "harvest" in vars(logistic4)
-    assert "induce" not in vars(logistic4)
+def test_harvest_and_induce_compile_on_first_use():
+    # build_map compiles no shape; the first use of each shape compiles it
+    # alone; eval, branch_at and deriv_product stay plain methods, which
+    # perfbench's tracer patches on the class
+    pm = mapcore.PiecewiseMap
+    for name in ("eval", "branch_at", "deriv_product"):
+        assert inspect.isfunction(pm.__dict__[name])
+    uses = {
+        "_f": lambda m: m.eval(0.3),
+        "walk": lambda m: m.walk(0.3, 2),
+        "compose": lambda m: m.compose(0.3, 2),
+        "compose_deriv": lambda m: m.deriv_product(0.3, 2),
+        "induce": lambda m: m.induce(0.3, 1, 0.0, 0.0, 5, [0.0], [1.0], [1]),
+        "harvest": lambda m: harvest_segments(m, [(0.4, 0.6)], 1, 5, 0),
+        "solve": lambda m: m.solve(0.6, 0.9, 0.36, -0.54, 1),
+    }
+    for shape, use in uses.items():
+        m = mapdefs.logistic(4.0)
+        assert not set(uses) & set(vars(m))
+        use(m)
+        assert set(uses) & set(vars(m)) == {shape}
