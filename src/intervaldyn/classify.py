@@ -26,6 +26,7 @@ from .orbits import (
     _binned_walk,
     _binner,
     _bins_to_cells,
+    _iterates,
     _runs,
     basin_sample,
     check_resolution,
@@ -129,7 +130,7 @@ def recurrence_check(m, v, length, eps):
     count = 0
     prev_in = False
     prev_x = None
-    for k in range(length):
+    for k, x in enumerate(_iterates(m, x, length)):
         inside = abs(x - target) <= eps
         if k > burn and inside and (not prev_in or x == prev_x):
             count += 1
@@ -137,15 +138,11 @@ def recurrence_check(m, v, length, eps):
                 return True
         prev_in = inside
         prev_x = x
-        try:
-            x = m.eval(x)
-        except IntervalDynError:
-            if k < burn:
-                raise DegenerateOrbitError(
-                    "orbit of %r hit the exceptional set at step %d "
-                    "during burn-in" % (v, k))
-            return count >= 3
-    return count >= 3
+    if k < burn:
+        raise DegenerateOrbitError(
+            "orbit of %r hit the exceptional set at step %d "
+            "during burn-in" % (v, k))
+    return False
 
 
 def match_omega(bins, m, cfg, critical_covers=None):

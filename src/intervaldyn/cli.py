@@ -33,23 +33,19 @@ from .mapcore import build_map, mapspec_from_dict, validate_nonflat
 from .orbits import find_periodic_points
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_map(path):
     if not os.path.exists(path):
-        raise _UsageError("map file not found: %s" % path)
+        raise ConfigError("map file not found: %s" % path)
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise _UsageError("cannot read map file %s: %s" % (path, e))
+        raise ConfigError("cannot read map file %s: %s" % (path, e))
     try:
         return build_map(mapspec_from_dict(doc))
     except (KeyError, TypeError, ValueError, IndexError,
             IntervalDynError) as e:
-        raise _UsageError("malformed map definition %s: %r" % (path, e))
+        raise ConfigError("malformed map definition %s: %r" % (path, e))
 
 
 def _parse_pairs(text, what):
@@ -58,7 +54,7 @@ def _parse_pairs(text, what):
     except ValueError:
         vals = []
     if not vals or len(vals) % 2:
-        raise _UsageError("%s needs an even number of comma-separated "
+        raise ConfigError("%s needs an even number of comma-separated "
                           "endpoints, got %r" % (what, text))
     return [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
 
@@ -115,7 +111,7 @@ def cmd_return_map(args):
     out = _outdir(args)
     j = _parse_pairs(args.j, "--j")
     if len(j) != 1:
-        raise _UsageError("--j takes exactly one interval, got %r" % args.j)
+        raise ConfigError("--j takes exactly one interval, got %r" % args.j)
     ind = first_return(m, j[0], args.t_max)
     rows = []
     for br in ind.branches:
@@ -160,13 +156,8 @@ def cmd_plot(args):
     out = _outdir(args)
     lo, hi = m.ambient
     if not (lo <= args.x0 <= hi):
-        raise _UsageError("--x0 %r outside the ambient interval" % args.x0)
-    orbit = [args.x0]
-    for _ in range(args.n):
-        try:
-            orbit.append(m.eval(orbit[-1]))
-        except IntervalDynError:
-            break
+        raise ConfigError("--x0 %r outside the ambient interval" % args.x0)
+    orbit = [args.x0] + m.walk(args.x0, args.n)
     svgplot.cobweb(m, orbit, args.n, os.path.join(out, "cobweb.svg"))
     _write_csv(os.path.join(out, "orbit.csv"), ("step", "x"),
                enumerate(orbit))
@@ -236,7 +227,7 @@ def main(argv=None):
         return 2 if e.code else 0
     try:
         return globals()[args.fn](args)
-    except (_UsageError, ConfigError, UNotCoveringError) as e:
+    except (ConfigError, UNotCoveringError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (IntervalDynError, ValueError, ZeroDivisionError,

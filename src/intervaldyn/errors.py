@@ -14,11 +14,7 @@ class IntervalDynError(Exception):
 # expression layer
 
 
-class ExprError(IntervalDynError):
-    pass
-
-
-class ExprSyntaxError(ExprError):
+class ExprSyntaxError(IntervalDynError):
     """Raised by the tokenizer/parser.  Carries the byte offset of the
     offending token and (when known) the set of things that would have been
     accepted there."""
@@ -32,13 +28,13 @@ class ExprSyntaxError(ExprError):
         super().__init__("%s at offset %d%s" % (message, offset, tail))
 
 
-class NonLiteralExponent(ExprError):
+class NonLiteralExponent(IntervalDynError):
     """Exponents of ^ and the order argument of spow must be numeric literals,
     otherwise symbolic differentiation of |u|^a would need log terms we do not
     support."""
 
 
-class ExprDomainError(ExprError):
+class ExprDomainError(IntervalDynError):
     """Evaluation left the real domain (log of a non-positive number, division
     by zero, 0 raised to a negative power, ...)."""
 
@@ -47,15 +43,11 @@ class ExprDomainError(ExprError):
 # map layer
 
 
-class MapError(IntervalDynError):
-    pass
-
-
-class TilingError(MapError):
+class TilingError(IntervalDynError):
     """Branch domains fail to tile the ambient interval exactly."""
 
 
-class BranchImageError(MapError):
+class BranchImageError(IntervalDynError):
     """A branch maps some sample point outside the ambient interval.  Carries
     a witness point."""
 
@@ -64,13 +56,13 @@ class BranchImageError(MapError):
         super().__init__(message)
 
 
-class ZeroDerivativeError(MapError):
+class ZeroDerivativeError(IntervalDynError):
     """A branch derivative vanishes, changes sign or is undefined at an
     interior sample point, or the second derivative is undefined there
     (branches must be C2 diffeomorphisms onto their images)."""
 
 
-class ExceptionalPointError(MapError):
+class ExceptionalPointError(IntervalDynError):
     """The map was evaluated exactly at a point where it is undefined."""
 
     def __init__(self, point):
@@ -78,13 +70,13 @@ class ExceptionalPointError(MapError):
         super().__init__("map undefined at x=%r" % (point,))
 
 
-class OutOfRangeError(MapError):
+class OutOfRangeError(IntervalDynError):
     def __init__(self, point):
         self.point = point
         super().__init__("x=%r outside the ambient interval" % (point,))
 
 
-class OrbitHitsExceptionalError(MapError):
+class OrbitHitsExceptionalError(IntervalDynError):
     """An orbit landed exactly on an undefined point mid-flight.  `index` is
     the number of successful steps taken before the hit."""
 
@@ -100,11 +92,7 @@ class OrbitHitsExceptionalError(MapError):
 # orbit / statistics layer
 
 
-class OrbitError(IntervalDynError):
-    pass
-
-
-class DegenerateOrbitError(OrbitError):
+class DegenerateOrbitError(IntervalDynError):
     """An orbit terminated before producing the samples a statistic needed."""
 
 
@@ -112,26 +100,22 @@ class DegenerateOrbitError(OrbitError):
 # induction layer
 
 
-class InductionError(IntervalDynError):
-    pass
-
-
-class NotNiceError(InductionError):
+class NotNiceError(IntervalDynError):
     """The requested base interval is not nice, so induced first entry /
     return maps are not well defined for the construction used here."""
 
 
-class BranchExplosionError(InductionError):
+class BranchExplosionError(IntervalDynError):
     """Return-map discovery exceeded the piece budget.  Honest failure mode:
     we never prune pieces silently."""
 
 
-class NotDiffeomorphicError(InductionError):
+class NotDiffeomorphicError(IntervalDynError):
     """An iterate restricted to an interval crosses a branch boundary, so it
     is not a single smooth piece."""
 
 
-class NeutralCoreNotBracketableError(InductionError):
+class NeutralCoreNotBracketableError(IntervalDynError):
     """Could not isolate the neutral core: fixed points of the second-iterate
     return map would not bracket."""
 
@@ -140,11 +124,7 @@ class NeutralCoreNotBracketableError(InductionError):
 # certificate layer
 
 
-class ManeError(IntervalDynError):
-    pass
-
-
-class UNotCoveringError(ManeError):
+class UNotCoveringError(IntervalDynError):
     """The supplied neighbourhood does not contain every undefined point, so
     the expansion-off-U certificate is meaningless."""
 

@@ -27,6 +27,7 @@ from .errors import (
     NotNiceError,
 )
 from .mapcore import LateralPoint
+from .orbits import _iterates
 
 MAX_CYLINDERS = 10_000_000
 
@@ -47,7 +48,8 @@ _MAX_FLAGS = 200
 @dataclass(frozen=True)
 class InducedBranch:
     """One monotone branch of an induced map: f^time maps (lo, hi) onto
-    (img_lo, img_hi) with the given orientation."""
+    (img_lo, img_hi) with the given orientation.  Cylinder refinement
+    holds its cylinders in the same record."""
 
     lo: float
     hi: float
@@ -226,28 +228,18 @@ def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
 # cylinder refinement
 
 
-@dataclass
-class _Cyl:
-    lo: float
-    hi: float
-    a: float        # image interval, sorted
-    b: float
-    orient: int     # sign of D(f^time) on (lo, hi)
-    time: int
-
-
 def _dom_point(m, cyl, img_value):
     """Domain point of a cylinder mapping to img_value, plus the f^time value
     actually achieved there."""
-    if cyl.orient > 0:
-        lo_img, hi_img = cyl.a, cyl.b
-    else:
-        lo_img, hi_img = cyl.b, cyl.a
-    if img_value == cyl.a:
-        return (cyl.lo, cyl.a) if cyl.orient > 0 else (cyl.hi, cyl.a)
-    if img_value == cyl.b:
-        return (cyl.hi, cyl.b) if cyl.orient > 0 else (cyl.lo, cyl.b)
-    return _pull(m, cyl.lo, cyl.hi, cyl.time, lo_img, hi_img, img_value)
+    # f^time maps the cylinder's ends lo and hi to a and b
+    a, b = cyl.img_lo, cyl.img_hi
+    if cyl.orientation < 0:
+        a, b = b, a
+    if img_value == a:
+        return cyl.lo, a
+    if img_value == b:
+        return cyl.hi, b
+    return _pull(m, cyl.lo, cyl.hi, cyl.time, a, b, img_value)
 
 
 def _segments(m, lo, hi):
@@ -262,7 +254,7 @@ def _advance(m, cyl, flags):
     amb_lo, amb_hi = m.ambient
     out = []
     dom = {}        # each interior cut ends one segment and starts the next
-    for s0, s1 in _segments(m, cyl.a, cyl.b):
+    for s0, s1 in _segments(m, cyl.img_lo, cyl.img_hi):
         for s in (s0, s1):
             if s not in dom:
                 dom[s], _ = _dom_point(m, cyl, s)
@@ -279,11 +271,12 @@ def _advance(m, cyl, flags):
             continue
         y0 = min(max(y0, amb_lo), amb_hi)
         y1 = min(max(y1, amb_lo), amb_hi)
-        orient = cyl.orient * (1 if y1 >= y0 else -1)
+        orient = cyl.orientation * (1 if y1 >= y0 else -1)
         img_a, img_b = (y0, y1) if y0 <= y1 else (y1, y0)
         if img_b - img_a <= _SLIVER:
             continue
-        out.append(_Cyl(d_lo, d_hi, img_a, img_b, orient, cyl.time + 1))
+        out.append(InducedBranch(d_lo, d_hi, cyl.time + 1, orient, img_a,
+                                 img_b))
     return out
 
 
@@ -291,8 +284,8 @@ def _extract(m, cyl, target):
     """Peel off the part of a cylinder whose image overlaps the open target.
     Returns (branch-or-None, remnant cylinders)."""
     alpha, beta = target
-    ov_lo = max(cyl.a, alpha)
-    ov_hi = min(cyl.b, beta)
+    ov_lo = max(cyl.img_lo, alpha)
+    ov_hi = min(cyl.img_hi, beta)
     if ov_hi - ov_lo <= _SLIVER:
         return None, [cyl]
     u0, y0 = _dom_point(m, cyl, ov_lo)
@@ -300,20 +293,21 @@ def _extract(m, cyl, target):
     d_lo, d_hi = (u0, u1) if u0 <= u1 else (u1, u0)
     branch = None
     if d_hi - d_lo > _SLIVER:
-        branch = InducedBranch(d_lo, d_hi, cyl.time, cyl.orient,
+        branch = InducedBranch(d_lo, d_hi, cyl.time, cyl.orientation,
                                min(y0, y1), max(y0, y1))
     # the cylinder's own ends map back without a pull-back
-    a_dom, _ = _dom_point(m, cyl, cyl.a)
-    b_dom, _ = _dom_point(m, cyl, cyl.b)
+    a_dom, _ = _dom_point(m, cyl, cyl.img_lo)
+    b_dom, _ = _dom_point(m, cyl, cyl.img_hi)
     remnants = []
-    for seg_a, seg_b, va, vb in ((cyl.a, ov_lo, a_dom, u0),
-                                 (ov_hi, cyl.b, u1, b_dom)):
+    for seg_a, seg_b, va, vb in ((cyl.img_lo, ov_lo, a_dom, u0),
+                                 (ov_hi, cyl.img_hi, u1, b_dom)):
         if seg_b - seg_a <= _SLIVER:
             continue
         r_lo, r_hi = (va, vb) if va <= vb else (vb, va)
         if r_hi - r_lo <= _SLIVER:
             continue
-        remnants.append(_Cyl(r_lo, r_hi, seg_a, seg_b, cyl.orient, cyl.time))
+        remnants.append(InducedBranch(r_lo, r_hi, cyl.time,
+                                       cyl.orientation, seg_a, seg_b))
     return branch, remnants
 
 
@@ -336,21 +330,20 @@ def _verify(m, branches, target, kind, flags):
         w = br.hi - br.lo
         finals = []
         for q in (0.25, 0.5, 0.75):
-            x = br.lo + w * q
-            try:
-                for j in range(br.time):
-                    if (kind == "first_entry" or j > 0) and alpha < x < beta:
-                        _flag(flags, "probe: branch %d enters target at step %d"
-                              % (i, j))
-                        break
-                    x = m.eval(x)
-                else:
-                    finals.append(x)
-                    if not (alpha - 1e-9 <= x <= beta + 1e-9):
-                        _flag(flags, "probe: branch %d misses target (%r)"
-                              % (i, x))
-            except IntervalDynError:
+            xs = [br.lo + w * q]
+            xs += m.walk(xs[0], br.time)
+            entry = [j for j, x in enumerate(xs[:br.time])
+                     if (kind == "first_entry" or j > 0) and alpha < x < beta]
+            if entry:
+                _flag(flags, "probe: branch %d enters target at step %d"
+                      % (i, entry[0]))
+            elif len(xs) <= br.time:
                 _flag(flags, "probe: branch %d hit an exceptional point" % i)
+            else:
+                finals.append(xs[-1])
+                if not (alpha - 1e-9 <= xs[-1] <= beta + 1e-9):
+                    _flag(flags, "probe: branch %d misses target (%r)"
+                          % (i, xs[-1]))
         if len(finals) == 3:
             span = finals[2] - finals[0]
             if span * br.orientation <= 0:
@@ -368,10 +361,10 @@ def _discover(m, source, target, t_max, kind):
         for p_lo, p_hi in ((s_lo, alpha), (beta, s_hi)):
             if p_hi - p_lo > _SLIVER:
                 for u, v in _segments(m, p_lo, p_hi):
-                    active.append(_Cyl(u, v, u, v, 1, 0))
+                    active.append(InducedBranch(u, v, 0, 1, u, v))
     else:
         for u, v in _segments(m, alpha, beta):
-            active.append(_Cyl(u, v, u, v, 1, 0))
+            active.append(InducedBranch(u, v, 0, 1, u, v))
 
     total = len(active)
     for _ in range(t_max):
@@ -428,18 +421,11 @@ def is_nice(m, J, horizon):
             if (pt == amb_lo and side == "left") or \
                (pt == amb_hi and side == "right"):
                 continue
-            try:
-                starts.append(m.eval_lateral(LateralPoint(pt, side)))
-            except IntervalDynError:
-                continue
+            starts.append(m.eval_lateral(LateralPoint(pt, side)))
     for x in starts:
-        for _ in range(horizon):
-            if alpha < x < beta:
+        for y in _iterates(m, x, horizon):
+            if alpha < y < beta:
                 return False
-            try:
-                x = m.eval(x)
-            except IntervalDynError:
-                break
     return True
 
 

@@ -36,10 +36,6 @@ class GrowthRecord:
     steps: int             # iterates examined before stopping
     captured_at: int = None
 
-    def to_dict(self):
-        return {"status": self.status, "max_deriv": self.max_deriv,
-                "steps": self.steps, "captured_at": self.captured_at}
-
 
 @dataclass
 class ManeCertificate:

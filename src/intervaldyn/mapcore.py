@@ -30,6 +30,16 @@ template's own lines, so that a formula error points at its template.  At
 an exceptional hit `eval` raises `ExceptionalPointError`, `walk` stops
 short, `compose` returns None and `compose_deriv` raises
 `OrbitHitsExceptionalError`.
+
+Every orbit of more than one step follows `walk`'s stop rule, in every
+module: an orbit that reaches an exceptional point stops, and that point
+is its last iterate; an iterate outside the ambient interval (NaN too)
+raises `OutOfRangeError`, which the CLI turns into exit 3.  Only a map
+whose image overshoots the ambient interval between the points that
+`build_map` checks has such an iterate.  Long orbits are walked one chunk
+at a time (`orbits._iterates` and `orbits._binned_walk`), so that they do
+not hold the whole orbit, and nothing outside this module steps an orbit
+with one `eval` call per step.
 """
 
 import ast

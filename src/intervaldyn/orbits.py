@@ -17,10 +17,8 @@ from .errors import (
     BranchExplosionError,
     ConfigError,
     DegenerateOrbitError,
-    ExceptionalPointError,
     IntervalDynError,
     OrbitHitsExceptionalError,
-    OutOfRangeError,
 )
 from .mapcore import LateralPoint
 from .rng import SplitMix64
@@ -146,6 +144,24 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     return raw, nbins, head, hit
 
 
+def _iterates(m, x, n):
+    """The iterates x_0 = x .. x_(n-1) of x, one at a time.  One `walk`
+    call makes each `_CHUNK` of them and takes the step from the last one
+    too (from x_(n-1) to x_n at the end), so at most _CHUNK + 1 are held
+    at a time.  An orbit that reaches the exceptional set stops there, and
+    that point is the last one given."""
+    while n > 0:
+        k = min(_CHUNK, n)
+        pts = [x]
+        pts += m.walk(x, k)     # x and k iterates, fewer after a hit
+        if len(pts) <= k:
+            yield from pts
+            return
+        x = pts.pop()           # stepped by the next chunk
+        yield from pts
+        n -= k
+
+
 def check_resolution(resolution):
     """The one cover resolution guard (omega_cover, basin_sample and the
     classify entry points): finite and >= 1e-6, so NaN fails too."""
@@ -198,15 +214,13 @@ def detect_periodic_like(m, p, l_max=16, tol=1e-9):
         raise ConfigError("l_max > 64")
     sgn = -1.0 if p.side == "left" else 1.0
     p0 = p.point
+    lo, hi = m.ambient
     orbs = []
     for eps in EPS_LADDER:
-        pts = [p0 + sgn * eps]
-        for _ in range(l_max):
-            try:
-                pts.append(m.eval(pts[-1]))
-            except (ExceptionalPointError, OutOfRangeError):
-                break
-        orbs.append(pts)
+        x = p0 + sgn * eps
+        if not lo <= x <= hi:   # p within eps of an ambient end
+            return None
+        orbs.append([x] + m.walk(x, l_max))
 
     for ell in range(1, l_max + 1):
         dists = []
@@ -240,20 +254,16 @@ def detect_periodic_like(m, p, l_max=16, tol=1e-9):
 
 def _one_sided_convergence(m, p0, sgn, ell, rounds=40):
     x = p0 + sgn * EPS_LADDER[0]
+    xs = m.walk(x, rounds * ell)
+    if len(xs) < rounds * ell:
+        return False
     prev = abs(x - p0)
-    shrunk = True
-    for _ in range(rounds):
-        for _ in range(ell):
-            try:
-                x = m.eval(x)
-            except ExceptionalPointError:
-                return False
+    for x in xs[ell - 1::ell]:
         d = abs(x - p0)
         if sgn * (x - p0) <= 0.0 or d >= prev:
-            shrunk = False
-            break
+            return False
         prev = d
-    return shrunk
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +334,7 @@ def find_periodic_points(m, period_max):
     # ambient endpoints: closures are defined there but sign-change
     # bracketing cannot see a root pinned at the domain edge
     for e in (lo, hi):
-        x = e
-        for n in range(1, period_max + 1):
-            try:
-                x = m.eval(x)
-            except ExceptionalPointError:
-                break
+        for n, x in enumerate(m.walk(e, period_max), 1):
             if abs(x - e) <= 1e-9:
                 record(e, n)
                 break

@@ -1,11 +1,14 @@
 """Reference orbit loops: the per-step Python loops that the compiled
 `compose`, `compose_deriv`, `induce` and `harvest` ladder shapes replaced,
 kept verbatim so the tests can check the shapes against them bit for bit,
-a per-evaluation `solve`, and the SVG graphs that sampled every point
-through `eval`.
+a per-evaluation `solve`, the SVG graphs that sampled every point
+through `eval`, and the one-`eval`-per-step orbit loops that `walk`
+replaced in `recurrence_check`, `_verify`, `is_nice`,
+`detect_periodic_like` (with `_one_sided_convergence`) and `cmd_plot`.
 
 `install(monkeypatch)` swaps every one of them back into the package and
-returns a dict that counts the calls each reference receives.
+returns a dict that counts the calls each reference receives, but for
+`is_nice` and `detect_periodic_like`, which no CLI command reaches.
 
 `find_periodic_points` is the bisection search that `solve` replaced, kept
 verbatim as an oracle for counts, periods and last-bit moves; `install`
@@ -13,18 +16,24 @@ leaves it out, as its points differ in the last bits by design.
 """
 
 import math
+import os
 from bisect import bisect_left, insort
 
-from intervaldyn import cli, induction, mane, mapcore, svgplot
+from intervaldyn import (
+    classify, cli, induction, mane, mapcore, orbits, svgplot)
 from intervaldyn.errors import (
     BranchExplosionError,
     ConfigError,
+    DegenerateOrbitError,
     ExceptionalPointError,
     IntervalDynError,
     OrbitHitsExceptionalError,
+    OutOfRangeError,
     ZeroDerivativeError,
 )
-from intervaldyn.orbits import _CYL_CAP, _DEDUP_TOL, _nudged
+from intervaldyn.mapcore import LateralPoint
+from intervaldyn.orbits import (
+    EPS_LADDER, PeriodicLike, _CYL_CAP, _DEDUP_TOL, _nudged)
 from intervaldyn.rng import SplitMix64
 
 
@@ -583,6 +592,186 @@ def return_map_graph(ind, path=None):
     return svgplot._svg(size, size, body, path)
 
 
+def recurrence_check(m, v, length, eps):
+    """`classify.recurrence_check`: one `eval` per step."""
+    length = int(length)
+    if length < 10_000:
+        raise ConfigError("recurrence length must be >= 1e4")
+    if eps <= 0:
+        raise ConfigError("eps must be positive")
+    target = v.point
+    x = m.eval_lateral(v)
+    if x == target:
+        return True          # lateral fixed point: trivially recurrent
+    burn = length // 10
+    count = 0
+    prev_in = False
+    prev_x = None
+    for k in range(length):
+        inside = abs(x - target) <= eps
+        if k > burn and inside and (not prev_in or x == prev_x):
+            count += 1
+            if count >= 3:
+                return True
+        prev_in = inside
+        prev_x = x
+        try:
+            x = m.eval(x)
+        except IntervalDynError:
+            if k < burn:
+                raise DegenerateOrbitError(
+                    "orbit of %r hit the exceptional set at step %d "
+                    "during burn-in" % (v, k))
+            return count >= 3
+    return count >= 3
+
+
+def verify(m, branches, target, kind, flags):
+    """`induction._verify`: one `eval` per step of each probe."""
+    _flag = induction._flag
+    alpha, beta = target
+    width_j = beta - alpha
+    for i, br in enumerate(branches):
+        ratio = (br.img_hi - br.img_lo) / width_j
+        if not (1.0 - 1e-6 <= ratio <= 1.0 + 1e-6):
+            _flag(flags, "markov: branch %d image/base ratio %.9f" % (i, ratio))
+        if br.time == 0:
+            continue
+        w = br.hi - br.lo
+        finals = []
+        for q in (0.25, 0.5, 0.75):
+            x = br.lo + w * q
+            try:
+                for j in range(br.time):
+                    if (kind == "first_entry" or j > 0) and alpha < x < beta:
+                        _flag(flags, "probe: branch %d enters target at step %d"
+                              % (i, j))
+                        break
+                    x = m.eval(x)
+                else:
+                    finals.append(x)
+                    if not (alpha - 1e-9 <= x <= beta + 1e-9):
+                        _flag(flags, "probe: branch %d misses target (%r)"
+                              % (i, x))
+            except IntervalDynError:
+                _flag(flags, "probe: branch %d hit an exceptional point" % i)
+        if len(finals) == 3:
+            span = finals[2] - finals[0]
+            if span * br.orientation <= 0:
+                _flag(flags, "probe: branch %d not monotone as recorded" % i)
+
+
+def is_nice(m, J, horizon):
+    """`induction.is_nice`: one `eval` per step."""
+    alpha, beta = induction._check_interval("J", J, m.ambient)
+    if horizon < 0:
+        raise ConfigError("horizon must be >= 0")
+    amb_lo, amb_hi = m.ambient
+    starts = []
+    for pt in (alpha, beta):
+        for side in ("left", "right"):
+            if (pt == amb_lo and side == "left") or \
+               (pt == amb_hi and side == "right"):
+                continue
+            try:
+                starts.append(m.eval_lateral(LateralPoint(pt, side)))
+            except IntervalDynError:
+                continue
+    for x in starts:
+        for _ in range(horizon):
+            if alpha < x < beta:
+                return False
+            try:
+                x = m.eval(x)
+            except IntervalDynError:
+                break
+    return True
+
+
+def detect_periodic_like(m, p, l_max=16, tol=1e-9):
+    """`orbits.detect_periodic_like`: one `eval` per step."""
+    if l_max > 64:
+        raise ConfigError("l_max > 64")
+    sgn = -1.0 if p.side == "left" else 1.0
+    p0 = p.point
+    orbs = []
+    for eps in EPS_LADDER:
+        pts = [p0 + sgn * eps]
+        for _ in range(l_max):
+            try:
+                pts.append(m.eval(pts[-1]))
+            except (ExceptionalPointError, OutOfRangeError):
+                break
+        orbs.append(pts)
+
+    for ell in range(1, l_max + 1):
+        dists = []
+        for pts in orbs:
+            if len(pts) <= ell:
+                dists = None
+                break
+            y = pts[ell]
+            if sgn * (y - p0) <= 0.0:
+                dists = None
+                break
+            dists.append(abs(y - p0))
+        if dists is None:
+            continue
+        if not (dists[1] <= 0.35 * dists[0]
+                and dists[2] <= 0.35 * dists[1]):
+            continue
+        r_mid = dists[1] / EPS_LADDER[1]
+        r_fine = dists[2] / EPS_LADDER[2]
+        mult = r_fine + (r_fine - r_mid) / 9.0
+        mult = max(mult, 0.0)
+        if mult < 1.0 - tol:
+            attracting = True
+        elif mult <= 1.0 + tol:
+            attracting = one_sided_convergence(m, p0, sgn, ell)
+        else:
+            attracting = False
+        return PeriodicLike(p, ell, mult, attracting)
+    return None
+
+
+def one_sided_convergence(m, p0, sgn, ell, rounds=40):
+    """`orbits._one_sided_convergence`: one `eval` per step."""
+    x = p0 + sgn * EPS_LADDER[0]
+    prev = abs(x - p0)
+    shrunk = True
+    for _ in range(rounds):
+        for _ in range(ell):
+            try:
+                x = m.eval(x)
+            except ExceptionalPointError:
+                return False
+        d = abs(x - p0)
+        if sgn * (x - p0) <= 0.0 or d >= prev:
+            shrunk = False
+            break
+        prev = d
+    return shrunk
+
+
+def cmd_plot(args):
+    """`cli.cmd_plot`: one `eval` per step."""
+    m = cli._load_map(args.map)
+    out = cli._outdir(args)
+    lo, hi = m.ambient
+    if not (lo <= args.x0 <= hi):
+        raise ConfigError("--x0 %r outside the ambient interval" % args.x0)
+    orbit = [args.x0]
+    for _ in range(args.n):
+        try:
+            orbit.append(m.eval(orbit[-1]))
+        except IntervalDynError:
+            break
+    svgplot.cobweb(m, orbit, args.n, os.path.join(out, "cobweb.svg"))
+    cli._write_csv(os.path.join(out, "orbit.csv"), ("step", "x"),
+                   enumerate(orbit))
+    return 0
+
+
 def install(monkeypatch):
     """Patch the reference loops in where the package looks them up."""
     calls = {}
@@ -615,4 +804,11 @@ def install(monkeypatch):
     monkeypatch.setattr(svgplot, "cobweb", counted("cobweb", cobweb))
     monkeypatch.setattr(svgplot, "return_map_graph",
                         counted("return_map_graph", return_map_graph))
+    monkeypatch.setattr(classify, "recurrence_check",
+                        counted("recurrence_check", recurrence_check))
+    monkeypatch.setattr(induction, "_verify", counted("verify", verify))
+    monkeypatch.setattr(cli, "cmd_plot", counted("cmd_plot", cmd_plot))
+    # no CLI command reaches these two, so they are not counted
+    monkeypatch.setattr(induction, "is_nice", is_nice)
+    monkeypatch.setattr(orbits, "detect_periodic_like", detect_periodic_like)
     return calls

@@ -214,18 +214,22 @@ def test_plot_truncates_on_exceptional_hit(tmp_path):
 
 def test_artifacts_byte_identical_with_reference_loops(tmp_path,
                                                        monkeypatch):
-    # the compiled compose, induce and harvest shapes, the pull-back memo
-    # and the SVG graphs change no output byte against the per-step loops
-    # they replaced
+    # the compiled compose, induce and harvest shapes, the pull-back memo,
+    # the SVG graphs and the orbit loops on `walk` change no output byte
+    # against the per-step loops they replaced
     mp = _map_file(tmp_path, mapdefs.logistic_spec(4.0), "l4.json")
     neutral = _map_file(tmp_path, mapdefs.neutral_spec(), "neutral.json")
+    feig = _map_file(tmp_path, mapdefs.logistic_spec(mapdefs.FEIGENBAUM_A),
+                     "feig.json")
     runs = ((mp, ["return-map", "--j", "0.25,0.75", "--t-max", "12",
                   "--refine", "1"]),
             (mp, ["analyze", "--period-max", "6"]),
             (neutral, ["return-map", "--j", "0,1", "--t-max", "3"]),
             (mp, ["mane", "--avoid", "0.4,0.6", "--nmax", "30",
                   "--samples", "200"]),
-            (mp, ["plot", "--x0", "0.137", "--n", "40"]))
+            (mp, ["plot", "--x0", "0.137", "--n", "40"]),
+            (feig, ["classify", "--samples", "100", "--burn-in", "200",
+                    "--length", "600"]))
 
     def artifacts(tag):
         out = {}
@@ -375,6 +379,36 @@ def test_exit_code_domain_error_mid_run(tmp_path, capsys):
     assert main(["plot", "--map", mp, "--x0", "0.3", "--n", "5",
                  "--out", str(tmp_path / "p")]) == 3
     assert "computation failed: math domain error" in capsys.readouterr().err
+
+
+def test_plot_exits_3_when_the_orbit_leaves_the_ambient_interval(
+        tmp_path, capsys):
+    # the map builds, as its grid misses the peak at the cut 5e-4, but the
+    # doubles just below the cut map one ulp above the ambient end 1e-3;
+    # the orbit is an error, not a table that ends outside the interval
+    e = "0.001*4*(x/0.001)*(1-x/0.001)"
+    spec = MapSpec((BranchSpec((0.0, 5e-4), e), BranchSpec((5e-4, 1e-3), e)),
+                   (0.0, 1e-3))
+    mp = _map_file(tmp_path, spec, "small.json")
+    out = tmp_path / "p"
+    assert main(["plot", "--map", mp, "--x0", "0.0004999999999999976",
+                 "--n", "10", "--out", str(out)]) == 3
+    assert ("computation failed: x=0.0010000000000000002 outside the "
+            "ambient interval") in capsys.readouterr().err
+    assert not (out / "orbit.csv").exists()
+
+
+def test_every_error_type_derives_from_the_package_base():
+    # one flat layer: the CLI maps IntervalDynError onto exit 3 and two of
+    # its subclasses onto exit 2, and nothing catches a class in between
+    from intervaldyn import errors
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) > 10
+    for c in classes:
+        assert issubclass(c, errors.IntervalDynError), c
+        if c is not errors.IntervalDynError:
+            assert c.__bases__ == (errors.IntervalDynError,), c
 
 
 def _perfbench_spans():

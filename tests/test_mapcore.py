@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 import random
 import re
 import textwrap
@@ -333,6 +334,33 @@ def test_shapes_are_python_source_not_strings():
                         and isinstance(arg.func, ast.Attribute)
                         and arg.func.attr in ("join", "format")), \
                 ast.dump(arg)
+
+
+def test_no_per_step_eval_loop_outside_mapcore():
+    # orbits outside mapcore step with `walk` or another compiled shape:
+    # no module calls an attribute named eval in the body of a for or
+    # while loop, or in a comprehension
+    pkg = os.path.dirname(mapcore.__file__)
+    found = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "mapcore.py":
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.While)):
+                inner = node.body + node.orelse
+            elif isinstance(node, (ast.ListComp, ast.SetComp,
+                                   ast.GeneratorExp, ast.DictComp)):
+                inner = [node]
+            else:
+                continue
+            found |= {"%s:%d" % (name, call.lineno)
+                      for part in inner for call in ast.walk(part)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Attribute)
+                      and call.func.attr == "eval"}
+    assert not found, sorted(found)
 
 
 def _evals(m, x, n):

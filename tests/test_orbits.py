@@ -1,10 +1,12 @@
+import json
 import math
+import os
 import tracemalloc
 from array import array
 
 import pytest
 
-from intervaldyn import orbits
+from intervaldyn import classify, cli, induction, orbits
 from intervaldyn.classify import ClassifyConfig, classify_attractors, \
     critical_order
 from intervaldyn.errors import (
@@ -14,7 +16,8 @@ from intervaldyn.errors import (
     IntervalDynError,
     OutOfRangeError,
 )
-from intervaldyn.mapcore import BranchSpec, LateralPoint, MapSpec, build_map
+from intervaldyn.mapcore import (
+    BranchSpec, LateralPoint, MapSpec, build_map, mapspec_to_dict)
 from intervaldyn.orbits import (
     BasinConfig,
     IntervalCover,
@@ -648,3 +651,197 @@ def test_walk_loops_memory_does_not_grow_with_window():
         # a list of the 200k window iterates alone would take ~6 MB
         assert big < small + 64 * 1024, (small, big)
         assert big < 1024 * 1024, big
+
+
+# ---------------------------------------------------------------------------
+# orbit loops on `walk` against the per-step loops they replaced
+
+
+def _drift_spec():
+    """x + 2^-15 below the cut 0.5 and x - 0.5 above it: every step is
+    exact in binary64, so a start 0.5 - k * 2^-15 reaches the cut at
+    step k, across chunk boundaries too."""
+    return MapSpec((BranchSpec((0.0, 0.5), "x + %r" % 2 ** -15),
+                    BranchSpec((0.5, 1.0), "x - 0.5")))
+
+
+def _flip_spec():
+    """Slope -0.9 about the cut 0.5: a one-sided orbit comes back to its
+    side every second step, 0.81 times closer."""
+    return MapSpec((BranchSpec((0.0, 0.5), "0.95 - 0.9*x"),
+                    BranchSpec((0.5, 1.0), "0.95 - 0.9*x")))
+
+
+def _swap_spec():
+    # the ambient ends form a 2-cycle: f(0) = 1 and f(1) = 0
+    return MapSpec((BranchSpec((0.0, 0.5), "1 - 0.5*x"),
+                    BranchSpec((0.5, 1.0), "2 - 2*x")))
+
+
+def _near_end_spec():
+    # a cut within 1e-4 of the ambient end 0
+    return MapSpec((BranchSpec((0.0, 5e-5), "2*x"),
+                    BranchSpec((5e-5, 1.0), "0.5*x + 0.25")))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def test_chunked_orbit_checks_stop_within_a_chunk_of_their_answer():
+    # `_iterates` gives x_0 .. x_(n-1) of the orbit that `walk` takes, also
+    # across chunk ends and where the drift orbit stops on the cut at step
+    # n or n - 1
+    for n in (0, 1, orbits._CHUNK - 1, orbits._CHUNK, orbits._CHUNK + 1,
+              3 * orbits._CHUNK + 5):
+        for m, x in ((mapdefs.logistic(3.9), 0.3),
+                     (build_map(_drift_spec()), 0.5 - n * 2 ** -15),
+                     (build_map(_drift_spec()), 0.5 - (n - 1) * 2 ** -15)):
+            assert (list(orbits._iterates(m, x, n))
+                    == ([x] + m.walk(x, n))[:n]), (n, x)
+    # recurrence_check and is_nice take at most _CHUNK steps per `walk`
+    # call, so they hold at most _CHUNK + 1 iterates, and walk less than
+    # one chunk past the step where the per-step loop answered, for an
+    # orbit length far beyond it (the burn-in alone is 10^5 steps here)
+    cases = ((mapdefs.logistic(mapdefs.FEIGENBAUM_A),
+              classify.recurrence_check, refloops.recurrence_check,
+              (LateralPoint(0.5, "left"), 10 ** 6, 1e-3), True),
+             (mapdefs.tent(), induction.is_nice, refloops.is_nice,
+              ((0.4, 0.6), 10 ** 8), False))
+    for m, new, ref, args, answer in cases:
+        evals = []
+        m.eval = lambda x, f=m.eval: evals.append(x) or f(x)
+        assert ref(m, *args) is answer
+        del m.eval
+        asked = []
+        m.walk = lambda x, n, f=m.walk: asked.append(n) or f(x, n)
+        assert new(m, *args) is answer
+        assert max(asked) <= orbits._CHUNK, asked
+        assert sum(asked) < len(evals) + orbits._CHUNK, (new, asked)
+
+
+def test_walk_sites_match_per_step_loops(tmp_path, monkeypatch):
+    # recurrence_check, is_nice, detect_periodic_like (with its one-sided
+    # convergence test), the probes of _verify, cmd_plot and the ambient
+    # ends of find_periodic_points give the value, or the error and its
+    # message, of the loops they replaced: on the lateral points and
+    # ambient ends of each fixture, dyadic starts that reach the cut 0.5
+    # of tent and doubling on the first, a middle or the last step, and
+    # drift starts that reach it around the chunk boundaries and the last
+    # examined step
+    specs = {"tent": mapdefs.tent_spec(), "doubling": mapdefs.doubling_spec(),
+             "l4": mapdefs.logistic_spec(4.0),
+             "feig": mapdefs.logistic_spec(mapdefs.FEIGENBAUM_A),
+             "jump": mapdefs.jump_contraction_spec(),
+             "neutral": mapdefs.neutral_spec(), "drift": _drift_spec(),
+             "flip": _flip_spec(), "swap": _swap_spec(),
+             "near_end": _near_end_spec()}
+    # a lateral point 0.5 - k * 2^-15 of the drift map has its value at
+    # 0.5 - (k - 1) * 2^-15: the orbit stops on step k - 1, around the
+    # burn-in (step 1000) and chunk ends of recurrence_check too
+    drift_hits = (1, 2, 3, 500, 1000, 1001, 1002, 4095, 4096, 4097, 8193,
+                  10_000, 10_001)
+    seen = set()
+
+    def same(new, ref, *args):
+        got = _outcome(new, *args)
+        assert got == _outcome(ref, *args), (new.__name__, args)
+        seen.add((new.__name__, got[1] if got[0] == "ok" else got[0]))
+
+    for key, spec in specs.items():
+        m = build_map(spec)
+        lo, hi = m.ambient
+        points = {lo, hi, 0.25, 0.3, 0.375, 0.5, 0.75, 0.8125}
+        points |= {lp.point for lp, _ in m.lateral_values}
+        if key == "drift":
+            points |= {0.5 - k * 2 ** -15 for k in drift_hits}
+            # 1e-4 below these the orbit climbs to the cut and stops
+            points |= {0.5 - k * 2 ** -15 + 1e-4 for k in (1, 2, 3)}
+        points = sorted(points)
+        for p in points:
+            for side, sgn in (("left", -1.0), ("right", 1.0)):
+                v = LateralPoint(p, side)
+                same(classify.recurrence_check, refloops.recurrence_check,
+                     m, v, 10_000, 1e-3)
+                for l_max in (4, 16, 64):
+                    same(orbits.detect_periodic_like,
+                         refloops.detect_periodic_like, m, v, l_max)
+                for ell in (1, 2, 3):
+                    same(orbits._one_sided_convergence,
+                         refloops.one_sided_convergence, m, p, sgn, ell)
+        # the ambient ends of the periodic-point search
+        for period in (1, 2, 3):
+            assert ([r for r in find_periodic_points(m, period)
+                     if r[0] in (lo, hi)]
+                    == [r for r in refloops.find_periodic_points(m, period)
+                        if r[0] in (lo, hi)]), (key, period)
+        for a, b in zip(points, points[1:]):
+            for horizon in (0, 1, 2, 50, 10_000):
+                same(induction.is_nice, refloops.is_nice, m, (a, b), horizon)
+
+        # the probes of discovered return and entry maps, and of made-up
+        # branches of times up to 60 between each pair of points
+        made = [induction.InducedBranch(a, b, t, o, 0.25, 0.75)
+                for a, b in zip(points, points[1:])
+                for t, o in ((1, 1), (2, -1), (3, 1), (60, -1))]
+        for ind in (induction.first_return(m, (0.25, 0.75), 12),
+                    induction.first_entry(m, (lo, hi), (0.25, 0.5), 12)):
+            for branches in (ind.branches, made):
+                for kind in ("first_return", "first_entry"):
+                    new, ref = [], []
+                    induction._verify(m, branches, ind.base, kind, new)
+                    refloops.verify(m, branches, ind.base, kind, ref)
+                    assert new == ref, (key, kind)
+                    seen.update(("_verify", f.split()[3]) for f in new
+                                if f.startswith("probe"))
+
+        path = tmp_path / ("%s.json" % key)
+        path.write_text(json.dumps(mapspec_to_dict(spec)))
+        for x0 in points:
+            for n in (1, 2, 60):
+                out = []
+                for cmd in (cli.cmd_plot, refloops.cmd_plot):
+                    d = tmp_path / ("%s-%d-%r-%d" % (key, len(out), x0, n))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cli, "cmd_plot", cmd)
+                        code = cli.main(["plot", "--map", str(path),
+                                         "--x0", repr(x0), "--n", str(n),
+                                         "--out", str(d)])
+                    out.append((code, sorted((f, (d / f).read_bytes())
+                                             for f in os.listdir(d))))
+                assert out[0] == out[1], (key, x0, n)
+
+    # every outcome came up: both answers, a degenerate orbit, None (a
+    # start outside the ambient interval among them), a periodic-like
+    # point and each probe flag
+    assert {("recurrence_check", "True"), ("recurrence_check", "False"),
+            ("recurrence_check", "DegenerateOrbitError"),
+            ("is_nice", "True"), ("is_nice", "False"),
+            ("_one_sided_convergence", "True"),
+            ("_one_sided_convergence", "False"),
+            ("detect_periodic_like", "None"),
+            ("_verify", "enters"), ("_verify", "hit"),
+            ("_verify", "misses")} <= seen
+    assert any(name == "detect_periodic_like" and value.startswith("Perio")
+               for name, value in seen)
+    assert detect_periodic_like(build_map(_near_end_spec()),
+                                LateralPoint(5e-5, "left")) is None
+
+    # the one change: an orbit that leaves the ambient interval, which only
+    # a map that build_map should have rejected has, is an error now
+    e = "0.001*4*(x/0.001)*(1-x/0.001)"
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(mapspec_to_dict(MapSpec(
+        (BranchSpec((0.0, 5e-4), e), BranchSpec((5e-4, 1e-3), e)),
+        (0.0, 1e-3)))))
+    codes = []
+    for cmd in (cli.cmd_plot, refloops.cmd_plot):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "cmd_plot", cmd)
+            codes.append(cli.main(["plot", "--map", str(path), "--x0",
+                                   "0.0004999999999999976", "--n", "10",
+                                   "--out", str(tmp_path / "small")]))
+    assert codes == [3, 0]
