@@ -34,11 +34,6 @@ class NonLiteralExponent(IntervalDynError):
     support."""
 
 
-class ExprDomainError(IntervalDynError):
-    """Evaluation left the real domain (log of a non-positive number, division
-    by zero, 0 raised to a negative power, ...)."""
-
-
 # ---------------------------------------------------------------------------
 # map layer
 

@@ -4,9 +4,8 @@ Grammar (infix, `^` right-associative, unary minus binds tighter than `^`):
 
     additive  := multiplicative (('+' | '-') multiplicative)*
     multiplicative := power (('*' | '/') power)*
-    power     := negatom ('^' exponent)?
+    power     := negatom ('^' power)?
     negatom   := '-' negatom | atom
-    exponent  := negatom ('^' exponent)?
     atom      := NUMBER | 'x' | fn '(' additive ')'
                | 'spow' '(' additive ',' additive ')' | '(' additive ')'
 
@@ -17,20 +16,20 @@ orders must be >= 1.
 
 ASTs are immutable; `differentiate` produces a new AST via the structural
 rules plus light constant folding (0*e, e+0, e^1, const op const, ...).
-`compile_fn` turns an AST into a plain python lambda for hot loops -- it is
-roughly 20x faster than the tree-walking `eval_expr` and agrees with it
-bit-for-bit because both go through math.pow / _signed_pow.
+`compile_fn` turns an AST into a plain python lambda, the package's one
+evaluator; every `^` goes through math.pow and every spow through
+_signed_pow.
 """
 
 import math
 import re
 from dataclasses import dataclass
 
-from .errors import ExprDomainError, ExprSyntaxError, NonLiteralExponent
+from .errors import ExprSyntaxError, NonLiteralExponent
 
 __all__ = [
     "Const", "Var", "Unary", "Binary", "Spow",
-    "parse", "to_source", "eval_expr", "differentiate", "compile_fn",
+    "parse", "to_source", "differentiate", "compile_fn",
 ]
 
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -141,21 +140,12 @@ class _Parser:
         return node
 
     def power(self):
-        base = self.negatom()
-        if self.at_op("^"):
-            off = self.peek()[2]
-            self.advance()
-            expo = self.exponent()
-            return self._make_pow(base, expo, off)
-        return base
-
-    def exponent(self):
         # right-associative: x^2^3 == x^(2^3); exponents must fold to Const
         base = self.negatom()
         if self.at_op("^"):
             off = self.peek()[2]
             self.advance()
-            return self._make_pow(base, self.exponent(), off)
+            return self._make_pow(base, self.power(), off)
         return base
 
     def _make_pow(self, base, expo, offset):
@@ -167,7 +157,7 @@ class _Parser:
             try:
                 return Const(math.pow(base.value, expo.value))
             except (ValueError, OverflowError):
-                pass  # leave unfolded; eval_expr reports the domain error
+                pass  # leave unfolded; evaluation raises the domain error
         return Binary("^", base, expo)
 
     def negatom(self):
@@ -295,50 +285,6 @@ def to_source(node):
 
 def _signed_pow(u, a):
     return math.copysign(abs(u) ** a, u)
-
-
-def eval_expr(node, x):
-    """Tree-walking evaluation at a point.  Raises ExprDomainError (carrying
-    the offending subtree) when the value leaves the reals."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        u = eval_expr(node.arg, x)
-        try:
-            if node.op == "neg":
-                return -u
-            if node.op == "abs":
-                return abs(u)
-            return getattr(math, node.op)(u)
-        except (ValueError, OverflowError) as e:
-            raise ExprDomainError(
-                "%s at x=%r in %s" % (e, x, to_source(node))) from None
-    if isinstance(node, Spow):
-        u = eval_expr(node.arg, x)
-        try:
-            return _signed_pow(u, node.order)
-        except OverflowError as e:
-            raise ExprDomainError(
-                "%s at x=%r in %s" % (e, x, to_source(node))) from None
-    if isinstance(node, Binary):
-        a = eval_expr(node.left, x)
-        b = eval_expr(node.right, x)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            return math.pow(a, b)
-        except (ZeroDivisionError, ValueError, OverflowError) as e:
-            raise ExprDomainError(
-                "%s at x=%r in %s" % (e, x, to_source(node))) from None
-    raise TypeError("not an AST node: %r" % (node,))
 
 
 # ---------------------------------------------------------------------------

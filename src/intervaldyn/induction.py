@@ -27,7 +27,7 @@ from .errors import (
     NotNiceError,
 )
 from .mapcore import LateralPoint
-from .orbits import _iterates
+from .orbits import _grid_roots, _iterates
 
 MAX_CYLINDERS = 10_000_000
 
@@ -57,16 +57,6 @@ class InducedBranch:
     orientation: int
     img_lo: float
     img_hi: float
-
-    def to_dict(self):
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "time": self.time,
-            "orientation": self.orientation,
-            "img_lo": self.img_lo,
-            "img_hi": self.img_hi,
-        }
 
 
 @dataclass
@@ -124,17 +114,6 @@ class InducedMap:
             return 1.0
         log_abs, _ = self.map.deriv_product(x, b.time)
         return _exp(log_abs)
-
-    def to_dict(self):
-        return {
-            "base": list(self.base),
-            "kind": self.kind,
-            "truncation": self.truncation,
-            "coverage": self.coverage,
-            "flags": list(self.flags),
-            "source": list(self.source),
-            "branches": [b.to_dict() for b in self.branches],
-        }
 
 
 @dataclass
@@ -545,7 +524,6 @@ def measure_distortion(ind, probes=16):
 
 
 _FIX_GRID = 1 << 14
-_FIX_TOL = 1e-10
 _FLANK_PROBES = 48
 _FLANK_CAP = 250_000     # budget of f-steps per flank probe
 _EXPANSION_PROBES = 25   # interior probes per branch for min |D(f^t)|
@@ -557,17 +535,6 @@ def _branch_pull(ind, br, target):
     else:
         y_lo, y_hi = br.img_hi, br.img_lo
     return _pull(ind.map, br.lo, br.hi, br.time, y_lo, y_hi, target)
-
-
-def _induced_step(m, x, time):
-    """One application of an induced branch with the given return time:
-    (f^time(x), log |Df^time(x)|), or None if the orbit hits an
-    exceptional point or a zero derivative on the way."""
-    try:
-        y, logd, _ = m.compose_deriv(x, time)
-    except IntervalDynError:
-        return None
-    return y, logd
 
 
 def _flank_stats(ind, flank):
@@ -671,48 +638,24 @@ def expansion_analysis(ind, m):
     u1, _ = _branch_pull(ind, p_br, hi_t)
     ip = (u0, u1) if u0 <= u1 else (u1, u0)
 
-    def f2_gap(x):
-        state, y, _, _ = ind.induce(x, 2, 0.0, 0.0)
-        return y - x if state == "done" else None
-
+    # both F steps on ip take p's branch, so F^2 is f^(2 time) there
+    n = 2 * p_br.time
     xs = []
-    hs = []
+    gs = []
     w_ip = ip[1] - ip[0]
     for k in range(_FIX_GRID):
         x = ip[0] + w_ip * (k + 0.5) / _FIX_GRID
-        h = f2_gap(x)
-        if h is not None:
+        y = m.compose(x, n)
+        if y is not None:
             xs.append(x)
-            hs.append(h)
-
-    roots = []
-    for i in range(len(xs) - 1):
-        if hs[i] == 0.0:
-            roots.append(xs[i])
-            continue
-        if hs[i] * hs[i + 1] > 0.0:
-            continue
-        a, b = xs[i], xs[i + 1]
-        ha = hs[i]
-        while b - a > _FIX_TOL:
-            mid = 0.5 * (a + b)
-            hm = f2_gap(mid)
-            if hm is None:
-                break
-            if hm == 0.0:
-                a = b = mid
-                break
-            if (hm < 0.0) == (ha < 0.0):
-                a, ha = mid, hm
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
-    if hs and hs[-1] == 0.0:
+            gs.append(y - x)
+    roots = _grid_roots(m, xs, gs, n)
+    if gs and gs[-1] == 0.0:
         roots.append(xs[-1])
     if not roots:
         raise NeutralCoreNotBracketableError(
             "no fixed point of the second-iterate return map bracketable "
-            "in %r at tolerance %g" % (ip, _FIX_TOL))
+            "in %r" % (ip,))
     core = (min(roots), max(roots))
 
     j_lo, j_hi = ind.base
@@ -796,10 +739,11 @@ def refine_partition(ind, n):
             x = c_lo + w * q
             total = 0.0
             for k in range(n):
-                s = _induced_step(ind.map, x, ind.branches[itin[k]].time)
-                if s is None:
+                try:
+                    x, log_abs, _ = ind.map.compose_deriv(
+                        x, ind.branches[itin[k]].time)
+                except IntervalDynError:
                     break
-                x, log_abs = s
                 total += log_abs
             else:
                 logs.append(total)

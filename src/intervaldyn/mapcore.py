@@ -29,7 +29,11 @@ inlined, and the result is compiled under this file's name at the
 template's own lines, so that a formula error points at its template.  At
 an exceptional hit `eval` raises `ExceptionalPointError`, `walk` stops
 short, `compose` returns None and `compose_deriv` raises
-`OrbitHitsExceptionalError`.
+`OrbitHitsExceptionalError`.  `solve` finds the roots of fⁿ(x) = x for
+both fixed-point searches, the periodic points of
+`orbits.find_periodic_points` and the neutral core of
+`induction.expansion_analysis`, through `orbits._grid_roots`, and the
+roots of fⁿ(x) = c that cut the laps.
 
 Every orbit of more than one step follows `walk`'s stop rule, in every
 module: an orbit that reaches an exceptional point stops, and that point
@@ -585,7 +589,7 @@ def _structural_order(branch, c):
     def walk(node):
         if isinstance(node, ex.Spow):
             try:
-                if abs(ex.eval_expr(node.arg, c)) < 1e-10:
+                if abs(ex.compile_fn(node.arg)(c)) < 1e-10:
                     found.append(node.order)
             except Exception:
                 pass
@@ -595,7 +599,7 @@ def _structural_order(branch, c):
         elif isinstance(node, ex.Binary):
             if node.op == "^" and isinstance(node.right, ex.Const):
                 try:
-                    if (abs(ex.eval_expr(node.left, c)) < 1e-10
+                    if (abs(ex.compile_fn(node.left)(c)) < 1e-10
                             and node.right.value >= 1.0):
                         found.append(node.right.value)
                 except Exception:

@@ -292,6 +292,22 @@ def _least_period(m, x, n):
     return n
 
 
+def _grid_roots(m, xs, gs, n):
+    """The roots of g(x) = f^n(x) - x that the sorted grid xs shows, from
+    gs = g(xs) (None where f^n is undefined): each grid point but the last
+    where g is exactly 0, and one `PiecewiseMap.solve` root per gap whose
+    ends have strictly opposite signs.  A gap with a None end is skipped."""
+    roots = []
+    for x0, g0, x1, g1 in zip(xs, gs, xs[1:], gs[1:]):
+        if g0 is None or g1 is None:
+            continue
+        if g0 == 0.0:
+            roots.append(x0)
+        elif g0 * g1 < 0.0:
+            roots.append(m.solve(x0, x1, g0, g1, n))
+    return roots
+
+
 def find_periodic_points(m, period_max):
     """Periodic points up to period_max, as (x, least period, |multiplier|)
     sorted by x, via the laps of the iterates: the maximal intervals on
@@ -355,14 +371,8 @@ def find_periodic_points(m, period_max):
                              for j in range(18)]
                 imgs[1:1] = [m.compose(y, n) for y in grid[1:-1]]
             vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
-            for (x0, g0), (x1, g1) in zip(zip(grid, vals),
-                                          zip(grid[1:], vals[1:])):
-                if g0 is None or g1 is None:
-                    continue
-                if g0 == 0.0:
-                    record(x0, n)
-                elif g0 * g1 < 0.0:
-                    record(m.solve(x0, x1, g0, g1, n), n)
+            for x in _grid_roots(m, grid, vals, n):
+                record(x, n)
 
             # split the lap at the preimages of the exceptional set for
             # period n + 1, from f^n at its nudged ends

@@ -72,6 +72,23 @@ def neutral_spec():
     ))
 
 
+def cubic_neutral_spec(s):
+    """`neutral_spec` with the middle branch's linear slope -s fixed and its
+    cubic term fitted to keep the branch onto (0, 1): for s < 1 the fixed
+    point 0.5 attracts and F^2 has fixed points away from it, for s > 1
+    0.5 is the only one."""
+    a = 2.0 ** -12
+    b = 1.0 - a
+    w = 0.5 - a
+    c = (0.5 - s * w) / w ** 3
+    mid = "0.5 - %r*(x - 0.5) - %r*(x - 0.5)^3" % (s, c)
+    return MapSpec((
+        BranchSpec((0.0, a), "4096*x"),
+        BranchSpec((a, b), mid),
+        BranchSpec((b, 1.0), "4096*(x - %r)" % b),
+    ))
+
+
 def tent():
     return build_map(tent_spec())
 

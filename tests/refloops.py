@@ -10,9 +10,12 @@ replaced in `recurrence_check`, `_verify`, `is_nice`,
 returns a dict that counts the calls each reference receives, but for
 `is_nice` and `detect_periodic_like`, which no CLI command reaches.
 
-`find_periodic_points` is the bisection search that `solve` replaced, kept
-verbatim as an oracle for counts, periods and last-bit moves; `install`
-leaves it out, as its points differ in the last bits by design.
+`find_periodic_points` is the bisection search that `solve` replaced, and
+`expansion_analysis` holds the neutral-core search that `compose` and
+`solve` replaced (two `induce` steps per grid point, bisection to
+_FIX_TOL); both are kept verbatim as oracles for counts, periods and
+last-bit moves.  `install` leaves them out, as their points differ in the
+last bits by design.
 """
 
 import math
@@ -320,7 +323,9 @@ def pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
 
 
 def induced_step(m, x, time):
-    """`induction._induced_step`: (f^time(x), log |Df^time(x)|) or None."""
+    """One induced step of the given return time, one `_step` per f-step:
+    (f^time(x), log |Df^time(x)|), or None if the orbit hits an exceptional
+    point, leaves the ambient interval or meets a zero derivative."""
     logd = 0.0
     try:
         for _ in range(time):
@@ -344,7 +349,7 @@ def induced_eval(ind, x):
 
 
 def flank_stats(ind, flank):
-    """`induction._flank_stats`: one `branch_at` and one `_induced_step`
+    """`induction._flank_stats`: one `branch_at` and one `induced_step`
     per induced step of each probe."""
     lo, hi = flank
     w = hi - lo
@@ -365,7 +370,7 @@ def flank_stats(ind, flank):
             if fsteps > induction._FLANK_CAP:
                 unreturned += 1
                 break
-            step = induction._induced_step(ind.map, x, br.time)
+            step = induced_step(ind.map, x, br.time)
             if step is None:
                 aborted += 1
                 break
@@ -386,17 +391,153 @@ def flank_stats(ind, flank):
 
 
 def f2_gap(ind, x):
-    """The `f2_gap` of `induction.expansion_analysis`: F(F(x)) - x, or
-    None where F is undefined on the way."""
+    """F(F(x)) - x of the induced map, one `induced_step` per induced step,
+    or None where F is undefined on the way."""
     y = x
     for _ in range(2):
         br = ind.branch_at(y)
-        s = None if br is None else induction._induced_step(
+        s = None if br is None else induced_step(
             ind.map, y, br.time)
         if s is None:
             return None
         y = s[0]
     return y - x
+
+
+_FIX_TOL = 1e-10
+
+
+def expansion_analysis(ind, m):
+    """`induction.expansion_analysis` with the neutral-core search that
+    `compose` and `solve` replaced: F^2 by two `induce` steps on the grid,
+    and each sign change bisected to a bracket of _FIX_TOL."""
+    if ind.kind != "first_return":
+        raise induction.NotNiceError(
+            "expansion analysis needs a first-return map")
+    if not ind.branches:
+        raise ConfigError("induced map has no branches")
+    dist = induction.measure_distortion(ind, probes=32)
+    eps2 = max(dist - 1.0, 0.0)
+    eps = math.sqrt(eps2)
+    o1 = m.nonlinearity()
+    K = 5.0 * induction._exp(o1)
+    applicable = eps < 1.0 / (6.0 * K) if math.isfinite(K) else False
+    details = {"distortion": dist, "o_one": o1}
+
+    offsets = ([1e-4]
+               + [(k + 0.5) / induction._EXPANSION_PROBES
+                  for k in range(induction._EXPANSION_PROBES)]
+               + [1.0 - 1e-4])
+    per_branch = []
+    for br in ind.branches:
+        w = br.hi - br.lo
+        vals = []
+        for q in offsets:
+            x = br.lo + w * q
+            try:
+                log_abs, _ = m.deriv_product(x, br.time)
+            except IntervalDynError:
+                continue
+            vals.append(induction._exp(log_abs))
+        if vals:
+            per_branch.append((min(vals), br))
+    if not per_branch:
+        raise ConfigError("no branch admitted derivative probes")
+    min_expansion = min(v for v, _ in per_branch)
+
+    if min_expansion > 1.0 + eps2:
+        gamma_len = ind.base[1] - ind.base[0]
+        Gamma = induction._gamma_bound(m, ind, eps, o1, gamma_len, details)
+        valid = applicable
+        return induction.ExpansionReport(
+            eps, K, "uniformly_expanding", min_expansion, Gamma, applicable,
+            valid, details)
+
+    _, p_br = min(per_branch, key=lambda t: t[0])
+    ip0 = (p_br.lo, p_br.hi)
+    lo_t = max(p_br.lo, p_br.img_lo)
+    hi_t = min(p_br.hi, p_br.img_hi)
+    u0, _ = induction._branch_pull(ind, p_br, lo_t)
+    u1, _ = induction._branch_pull(ind, p_br, hi_t)
+    ip = (u0, u1) if u0 <= u1 else (u1, u0)
+
+    def f2_gap(x):
+        state, y, _, _ = ind.induce(x, 2, 0.0, 0.0)
+        return y - x if state == "done" else None
+
+    xs = []
+    hs = []
+    w_ip = ip[1] - ip[0]
+    for k in range(induction._FIX_GRID):
+        x = ip[0] + w_ip * (k + 0.5) / induction._FIX_GRID
+        h = f2_gap(x)
+        if h is not None:
+            xs.append(x)
+            hs.append(h)
+
+    roots = []
+    for i in range(len(xs) - 1):
+        if hs[i] == 0.0:
+            roots.append(xs[i])
+            continue
+        if hs[i] * hs[i + 1] > 0.0:
+            continue
+        a, b = xs[i], xs[i + 1]
+        ha = hs[i]
+        while b - a > _FIX_TOL:
+            mid = 0.5 * (a + b)
+            hm = f2_gap(mid)
+            if hm is None:
+                break
+            if hm == 0.0:
+                a = b = mid
+                break
+            if (hm < 0.0) == (ha < 0.0):
+                a, ha = mid, hm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    if hs and hs[-1] == 0.0:
+        roots.append(xs[-1])
+    if not roots:
+        raise induction.NeutralCoreNotBracketableError(
+            "no fixed point of the second-iterate return map bracketable "
+            "in %r at tolerance %g" % (ip, _FIX_TOL))
+    core = (min(roots), max(roots))
+
+    j_lo, j_hi = ind.base
+    flanks = ((j_lo, ip[0]), (ip[1], j_hi))
+    connectors = ((ip[0], core[0]), (core[1], ip[1]))
+    stats = []
+    for fl in flanks:
+        if fl[1] - fl[0] > induction._SLIVER:
+            stats.append(induction._flank_stats(ind, fl))
+        else:
+            stats.append(None)
+    candidates = [i for i, s in enumerate(stats) if s is not None]
+    if not candidates:
+        raise induction.NeutralCoreNotBracketableError(
+            "both flanks are degenerate")
+    best = max(candidates,
+               key=lambda i: (stats[i]["returned"],
+                              -stats[i]["min_deriv"] if stats[i]["returned"] == 0
+                              else stats[i]["min_deriv"]))
+    chosen = stats[best]
+    details.update({
+        "ip0": ip0,
+        "ip": ip,
+        "core": core,
+        "flanks": flanks,
+        "connectors": connectors,
+        "ell": best,
+        "flank_stats": stats,
+    })
+    Gamma = induction._gamma_bound(
+        m, ind, eps, o1, max(flanks[best][1] - flanks[best][0],
+                             induction._SLIVER), details)
+    valid = applicable and chosen["returned"] >= 1 and chosen["min_deriv"] > 3.0
+    return induction.ExpansionReport(eps, K, "neutral_core", min_expansion,
+                                     Gamma, applicable, valid, details)
 
 
 def induced_walk(ind, x, k, lo, hi, cap=math.inf):
@@ -411,7 +552,7 @@ def induced_walk(ind, x, k, lo, hi, cap=math.inf):
         fsteps += br.time
         if fsteps > cap:
             return "unreturned", x, logsum, fsteps
-        step = induction._induced_step(ind.map, x, br.time)
+        step = induced_step(ind.map, x, br.time)
         if step is None:
             return "aborted", x, logsum, fsteps
         x, logd = step
@@ -506,7 +647,7 @@ def refine_partition(ind, n):
             x = c_lo + w * q
             total = 0.0
             for k in range(n):
-                s = induction._induced_step(
+                s = induced_step(
                     ind.map, x, ind.branches[itin[k]].time)
                 if s is None:
                     break
@@ -790,8 +931,6 @@ def install(monkeypatch):
     monkeypatch.setattr(pm, "compose", counted("compose", compose))
     monkeypatch.setattr(pm, "solve", counted("solve", solve))
     monkeypatch.setattr(induction, "_pull", counted("pull", pull))
-    monkeypatch.setattr(induction, "_induced_step",
-                        counted("induced_step", induced_step))
     monkeypatch.setattr(induction.InducedMap, "eval",
                         counted("induced_eval", induced_eval))
     monkeypatch.setattr(induction.InducedMap, "induce",

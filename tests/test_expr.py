@@ -3,11 +3,7 @@ import random
 
 import pytest
 
-from intervaldyn.errors import (
-    ExprDomainError,
-    ExprSyntaxError,
-    NonLiteralExponent,
-)
+from intervaldyn.errors import ExprSyntaxError, NonLiteralExponent
 from intervaldyn.expr import (
     Binary,
     Const,
@@ -16,10 +12,10 @@ from intervaldyn.expr import (
     Var,
     compile_fn,
     differentiate,
-    eval_expr,
     parse,
     to_source,
 )
+from exprref import ExprDomainError, eval_expr
 from genexpr import random_ast, random_smooth_ast
 
 from fdcheck import check_derivative_fd

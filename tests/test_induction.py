@@ -7,9 +7,11 @@ from intervaldyn import induction
 from intervaldyn.errors import (
     BranchExplosionError,
     ConfigError,
+    NeutralCoreNotBracketableError,
     NotDiffeomorphicError,
     NotNiceError,
 )
+from intervaldyn.mapcore import build_map
 from intervaldyn.orbits import omega_cover
 from intervaldyn.rng import SplitMix64
 from toymodel import entry_ladder
@@ -224,9 +226,6 @@ def test_induced_map_eval_and_deriv(doubling):
     assert ret.branch_at(0.6) is None
     with pytest.raises(ConfigError):
         ret.eval(0.6)
-    d = ret.to_dict()
-    assert d["kind"] == "first_return"
-    assert len(d["branches"]) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +409,72 @@ def test_expansion_neutral_core(neutral_expansion):
     # honestly infinite with delta' recorded as 0
     assert d["delta_prime"] == 0.0
     assert rep.distortion_Gamma == math.inf
+
+
+# the middle branch's linear slope of the cubic neutral maps; their flank
+# probes run to _FLANK_CAP, so the tests below cut it to 2,000 f-steps
+CUBIC_SLOPES = (0.9, 0.99, 0.999, 1.01)
+
+
+def _cubic_return_map(s):
+    m = build_map(mapdefs.cubic_neutral_spec(s))
+    return m, induction.first_return(m, (0.0, 1.0), 3)
+
+
+def test_neutral_core_matches_bisection_reference(neutral_expansion):
+    # the fixed points of F^2 come from `solve`; on the neutral fixture the
+    # bisection to _FIX_TOL found the same core (0.5, 0.5), so whole
+    # reports agree
+    m, ret, rep = neutral_expansion
+    assert rep.details["core"] == (0.5, 0.5)
+    assert repr(rep) == repr(refloops.expansion_analysis(ret, m))
+
+
+@pytest.mark.parametrize("s", CUBIC_SLOPES)
+def test_cubic_neutral_core_moves_within_bisection_tolerance(s, monkeypatch):
+    monkeypatch.setattr(induction, "_FLANK_CAP", 2000)
+    m, ret = _cubic_return_map(s)
+    got = induction.expansion_analysis(ret, m)
+    want = refloops.expansion_analysis(ret, m)
+    assert got.mode == "neutral_core"
+    # `solve` ends within 1 ulp of a sign change; the reference returned
+    # the midpoint of a bracket of 1e-10
+    (a, b), (a_ref, b_ref) = got.details.pop("core"), want.details.pop("core")
+    assert abs(a - a_ref) <= 1e-10 and abs(b - b_ref) <= 1e-10
+    ip = got.details["ip"]
+    assert got.details.pop("connectors") == ((ip[0], a), (b, ip[1]))
+    del want.details["connectors"]
+    assert repr(got) == repr(want)
+
+
+def test_plateau_neutral_core_not_bracketable():
+    # F^2 - x keeps one sign on the grid of the plateau's contracting branch
+    m = mapdefs.plateau()
+    ret = induction.first_return(m, (0.0, 1.0), 3)
+    for search in (induction.expansion_analysis, refloops.expansion_analysis):
+        with pytest.raises(NeutralCoreNotBracketableError):
+            search(ret, m)
+
+
+@pytest.mark.parametrize("s", (None,) + CUBIC_SLOPES)
+def test_second_iterate_is_a_power_of_f_on_ip(s, monkeypatch):
+    # both induced steps from ip take the branch p, so F^2 = f^(2 time)
+    # there, to the last bit, at every point of the grid
+    monkeypatch.setattr(induction, "_FLANK_CAP", 2000)
+    if s is None:
+        m = mapdefs.neutral()
+        ret = induction.first_return(m, (0.0, 1.0), 3)
+    else:
+        m, ret = _cubic_return_map(s)
+    d = induction.expansion_analysis(ret, m).details
+    ip_lo, ip_hi = d["ip"]
+    (p,) = [b for b in ret.branches if (b.lo, b.hi) == d["ip0"]]
+    w = ip_hi - ip_lo
+    for k in range(induction._FIX_GRID):
+        x = ip_lo + w * (k + 0.5) / induction._FIX_GRID
+        y = m.compose(x, 2 * p.time)
+        assert (repr(None if y is None else y - x)
+                == repr(refloops.f2_gap(ret, x))), x
 
 
 INDUCE_RETURN_MAPS = {

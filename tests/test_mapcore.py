@@ -25,6 +25,7 @@ from intervaldyn.mapcore import (
     validate_nonflat,
 )
 from intervaldyn import induction, mapcore
+import exprref
 import mapdefs
 import refloops
 
@@ -245,8 +246,6 @@ def _assert_shapes_match_reference(m, x):
             want = "ok", repr((refloops.compose(m, x, n),)
                               + refloops.deriv_product(m, x, n))
         assert _outcome(m.compose_deriv, x, n) == want
-        assert (_outcome(induction._induced_step, m, x, n)
-                == _outcome(refloops.induced_step, m, x, n))
     # pull-backs whose first midpoint is x, in either orientation
     lo, hi = m.ambient
     for n in (0, 1, 2, 7, 300):
@@ -361,6 +360,59 @@ def test_no_per_step_eval_loop_outside_mapcore():
                       and isinstance(call.func, ast.Attribute)
                       and call.func.attr == "eval"}
     assert not found, sorted(found)
+
+
+def test_no_private_bisection_outside_the_root_finders():
+    # the package's root finders are `PiecewiseMap.solve` and
+    # `induction._pull` (whose dyadic midpoints refine and doubling's
+    # coverage depend on): no other function halves a bracket, a midpoint
+    # 0.5 * (a + b) of two names, in a loop or comprehension
+    pkg = os.path.dirname(mapcore.__file__)
+    found = set()
+
+    def is_midpoint(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            return False
+        for half, s in ((node.left, node.right), (node.right, node.left)):
+            if (isinstance(half, ast.Constant) and half.value == 0.5
+                    and isinstance(s, ast.BinOp) and isinstance(s.op, ast.Add)
+                    and isinstance(s.left, ast.Name)
+                    and isinstance(s.right, ast.Name)):
+                return True
+        return False
+
+    def visit(node, where, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            where = "%s:%s" % (where.split(":")[0],
+                               getattr(node, "name", "<lambda>"))
+            in_loop = False
+        elif isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                               ast.GeneratorExp, ast.DictComp)):
+            in_loop = True
+        elif in_loop and is_midpoint(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_loop)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                visit(ast.parse(fh.read()), name, False)
+    assert found == {"mapcore.py:solve", "induction.py:_pull"}, sorted(found)
+
+
+def test_structural_orders_match_tree_walking_oracle(monkeypatch):
+    # `_structural_order` evaluates each pow/spow argument at the cut with
+    # `compile_fn`; the tree-walking oracle gives the same orders
+    specs = [MapSpec((BranchSpec((0.0, 0.5), "2*x"),
+                      BranchSpec((0.5, 1.0), right)))
+             for right in ("0.5 + 4*(x - 0.5)^3",
+                           "0.5 + 4*spow(x - 0.5, 3)")]
+    got = [build_map(spec).orders for spec in specs]
+    monkeypatch.setattr(mapcore, "_structural_order",
+                        exprref.structural_order)
+    assert got == [build_map(spec).orders for spec in specs]
+    assert got[0] == got[1] == {(0.5, "left"): 1.0, (0.5, "right"): 3.0}
 
 
 def _evals(m, x, n):
