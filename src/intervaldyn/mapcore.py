@@ -43,12 +43,14 @@ whose image overshoots the ambient interval between the points that
 `build_map` checks has such an iterate.  Long orbits are walked one chunk
 at a time (`orbits._iterates` and `orbits._binned_walk`), so that they do
 not hold the whole orbit, and nothing outside this module steps an orbit
-with one `eval` call per step.
+with one `eval` call per step.  The chunked binned walk steps the chunks
+that it need not bin with `compose`: the burn-in, and the rest of the
+window once every bin is visited.
 """
 
 import ast
 import copy
-import inspect
+import linecache
 import math
 from bisect import bisect_right, bisect_left
 from dataclasses import dataclass, field
@@ -171,10 +173,18 @@ def _shape(template):
 
 @cache
 def _template(fn):
-    """The parsed `def` of the shape template `fn`, at its own lines."""
-    lines, first = inspect.getsourcelines(fn)
+    """The parsed `def` of the shape template `fn`, at its own lines: its
+    `@_shape` line, its `def` line and every line after them that is blank
+    or indented deeper."""
+    lines = linecache.getlines(fn.__code__.co_filename)
+    first = fn.__code__.co_firstlineno - 1      # the `@_shape` line
+    deeper = " " * (len(lines[first]) - len(lines[first].lstrip()) + 1)
+    end = first + 2
+    while end < len(lines) and (lines[end].isspace()
+                                or lines[end].startswith(deeper)):
+        end += 1
     # an `if 1:` on the line above lets the indented block parse in place
-    src = "\n" * (first - 2) + "if 1:\n" + "".join(lines)
+    src = "\n" * (first - 1) + "if 1:\n" + "".join(lines[first:end])
     return ast.parse(src).body[0].body[0]
 
 

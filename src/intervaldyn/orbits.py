@@ -12,6 +12,9 @@ import math
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import repeat
+from math import floor
+from operator import sub, truediv
 
 from .errors import (
     BranchExplosionError,
@@ -93,55 +96,87 @@ def _nbins(m, resolution):
     return max(1, math.ceil((hi - lo) / resolution - 1e-9))
 
 
+def _bins(ys, lo, resolution):
+    """The bins floor((y - lo) / resolution) of the points ys, unclamped,
+    from one C-level chain.  floor and int differ only below 0, which the
+    clamp to bin 0 merges."""
+    return map(floor, map(truediv, map(sub, ys, repeat(lo)),
+                          repeat(resolution)))
+
+
 def _binner(m, resolution):
     """The bin of a point, as `_binned_walk` bins it: points outside the
     ambient interval go to the end bins."""
     lo, last = m.ambient[0], _nbins(m, resolution) - 1
-    return lambda y: min(max(int((y - lo) / resolution), 0), last)
+    return lambda y: min(max(*_bins((y,), lo, resolution), 0), last)
 
 
-# orbit steps per `walk` call of the binned loops, which bounds their memory
+def _clamped(ks, nbins):
+    """The bins ks with those off the grid of nbins bins moved to its end
+    bins."""
+    if ks and (min(ks) < 0 or max(ks) >= nbins):
+        return {min(max(k, 0), nbins - 1) for k in ks}
+    return ks
+
+
+# orbit steps per `walk` or `compose` call of the chunked loops, which
+# bounds their memory; while a binned walk still bins, it walks one slice
+# at a time, so it stops binning within a slice of the last new bin
 _CHUNK = 4096
+_SLICE = 512
 
 
 def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     """Walk `steps` steps from x_0 = x and bin the iterates x_burn_in ..
-    x_(burn_in+length-1) at `resolution`, one chunk at a time.  Returns
-    (ks, nbins, head, hit): the visited bins of the grid of nbins bins,
-    the first `keep` binned iterates, and the index of the exceptional
-    point the walk stopped on (binned if inside the window), or None.  An
-    iterate is binned only after `walk` has stepped it, so a NaN raises
-    OutOfRangeError first."""
+    x_(burn_in+length-1) at `resolution`.  Returns (ks, nbins, head, hit):
+    the visited bins of the grid of nbins bins, the first `keep` binned
+    iterates, and the index of the exceptional point the walk stopped on
+    (binned if inside the window), or None.  An iterate is binned only
+    after `walk` has stepped it, so a NaN raises OutOfRangeError first.
+
+    Only the window needs a list of iterates, and only until every bin is
+    visited and the head is full: `walk` steps it one `_SLICE` at a time,
+    and `compose` steps the burn-in and the rest one `_CHUNK` at a time,
+    walking again the one chunk where it stops short to find the hit."""
     lo = m.ambient[0]
     nbins = _nbins(m, resolution)
     end = burn_in + length
-    raw = set()
+    raw = set()         # clamped whenever it holds nbins bins or more
     head = []
     i = 0               # orbit index of x
     hit = None
     while i < steps:
-        n = min(_CHUNK, steps - i)
-        pts = [x]
-        pts += m.walk(x, n)     # x_i .. x_(i+n), shorter after a hit
-        if len(pts) <= n:
-            hit = i + len(pts) - 1
-        else:
-            x = pts.pop()       # stepped by the next chunk
-        window = pts[max(burn_in - i, 0):end - i]
-        raw |= {int((y - lo) / resolution) for y in window}
-        if len(head) < keep:
-            head += window[:keep - len(head)]
+        if burn_in <= i and (len(raw) < nbins or len(head) < keep):
+            n = min(_SLICE, steps - i)
+            pts = [x]
+            pts += m.walk(x, n)     # x_i .. x_(i+n), shorter after a hit
+            if len(pts) <= n:
+                hit = i + len(pts) - 1
+            else:
+                x = pts.pop()       # stepped by the next slice
+            window = pts[:end - i]
+            if len(head) < keep:
+                head += window[:keep - len(head)]
+            if len(raw) < nbins:
+                raw.update(_bins(window, lo, resolution))
+                if len(raw) >= nbins:
+                    raw = _clamped(raw, nbins)
+        else:               # no iterate to bin or keep
+            stop = min(burn_in, steps) if i < burn_in else steps
+            n = min(_CHUNK, stop - i)
+            y = m.compose(x, n)
+            if y is None:
+                hit = i + len(m.walk(x, n))
+            x = y
         if hit is not None:
             break
         i += n
     else:
         if burn_in <= steps < end:      # the last iterate, never stepped
-            raw.add(int((x - lo) / resolution))
+            raw.update(_bins((x,), lo, resolution))
             if len(head) < keep:
                 head.append(x)
-    if raw and (min(raw) < 0 or max(raw) >= nbins):
-        raw = {min(max(k, 0), nbins - 1) for k in raw}
-    return raw, nbins, head, hit
+    return _clamped(raw, nbins), nbins, head, hit
 
 
 def _iterates(m, x, n):

@@ -16,6 +16,11 @@ returns a dict that counts the calls each reference receives, but for
 _FIX_TOL); both are kept verbatim as oracles for counts, periods and
 last-bit moves.  `install` leaves them out, as their points differ in the
 last bits by design.
+
+`binned_walk` is the chunked binned walk of basin sampling and omega
+covers as it was when it walked every chunk and binned every window
+iterate, before `compose` stepped what it need not bin; it is the oracle of
+the bins, head and hit of `orbits._binned_walk`.
 """
 
 import math
@@ -36,7 +41,7 @@ from intervaldyn.errors import (
 )
 from intervaldyn.mapcore import LateralPoint
 from intervaldyn.orbits import (
-    EPS_LADDER, PeriodicLike, _CYL_CAP, _DEDUP_TOL, _nudged)
+    EPS_LADDER, PeriodicLike, _CHUNK, _CYL_CAP, _DEDUP_TOL, _nbins, _nudged)
 from intervaldyn.rng import SplitMix64
 
 
@@ -731,6 +736,49 @@ def return_map_graph(ind, path=None):
                               "%d branches, deepest time %d"
                               % (len(ind.branches), tmax)))
     return svgplot._svg(size, size, body, path)
+
+
+def binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
+    """`orbits._binned_walk` as it was before it stopped binning at
+    saturation: every chunk walked and every window iterate binned.
+
+    Walk `steps` steps from x_0 = x and bin the iterates x_burn_in ..
+    x_(burn_in+length-1) at `resolution`, one chunk at a time.  Returns
+    (ks, nbins, head, hit): the visited bins of the grid of nbins bins,
+    the first `keep` binned iterates, and the index of the exceptional
+    point the walk stopped on (binned if inside the window), or None.  An
+    iterate is binned only after `walk` has stepped it, so a NaN raises
+    OutOfRangeError first."""
+    lo = m.ambient[0]
+    nbins = _nbins(m, resolution)
+    end = burn_in + length
+    raw = set()
+    head = []
+    i = 0               # orbit index of x
+    hit = None
+    while i < steps:
+        n = min(_CHUNK, steps - i)
+        pts = [x]
+        pts += m.walk(x, n)     # x_i .. x_(i+n), shorter after a hit
+        if len(pts) <= n:
+            hit = i + len(pts) - 1
+        else:
+            x = pts.pop()       # stepped by the next chunk
+        window = pts[max(burn_in - i, 0):end - i]
+        raw |= {int((y - lo) / resolution) for y in window}
+        if len(head) < keep:
+            head += window[:keep - len(head)]
+        if hit is not None:
+            break
+        i += n
+    else:
+        if burn_in <= steps < end:      # the last iterate, never stepped
+            raw.add(int((x - lo) / resolution))
+            if len(head) < keep:
+                head.append(x)
+    if raw and (min(raw) < 0 or max(raw) >= nbins):
+        raw = {min(max(k, 0), nbins - 1) for k in raw}
+    return raw, nbins, head, hit
 
 
 def recurrence_check(m, v, length, eps):

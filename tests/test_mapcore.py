@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import os
 import random
@@ -333,6 +334,27 @@ def test_shapes_are_python_source_not_strings():
                         and isinstance(arg.func, ast.Attribute)
                         and arg.func.attr in ("join", "format")), \
                 ast.dump(arg)
+
+
+def test_template_scan_matches_inspect():
+    # `_template` reads a shape template's lines by their indentation:
+    # every shape parses to the tree, line numbers included, that
+    # `inspect.getsourcelines` gives, and its compiled function starts at
+    # the template's `def` line
+    m = mapdefs.logistic(4.0)
+    shapes = {name: prop.func.__wrapped__
+              for name, prop in vars(mapcore.PiecewiseMap).items()
+              if hasattr(getattr(prop, "func", None), "__wrapped__")}
+    assert sorted(shapes) == ["_f", "compose", "compose_deriv", "harvest",
+                              "induce", "solve", "walk"]
+    for name, template in shapes.items():
+        lines, first = inspect.getsourcelines(template)
+        src = "\n" * (first - 2) + "if 1:\n" + "".join(lines)
+        want = ast.parse(src).body[0].body[0]
+        assert (ast.dump(mapcore._template(template), include_attributes=True)
+                == ast.dump(want, include_attributes=True)), name
+        assert want.decorator_list[0].lineno == first
+        assert getattr(m, name).__code__.co_firstlineno == want.lineno, name
 
 
 def test_no_per_step_eval_loop_outside_mapcore():

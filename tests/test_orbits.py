@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -651,6 +652,189 @@ def test_walk_loops_memory_does_not_grow_with_window():
         # a list of the 200k window iterates alone would take ~6 MB
         assert big < small + 64 * 1024, (small, big)
         assert big < 1024 * 1024, big
+
+
+def _binned(fn, m, *args):
+    """(sorted bins, nbins, head, hit) of a binned walk, or its error."""
+    try:
+        ks, nbins, head, hit = fn(m, *args)
+    except Exception as e:
+        return type(e), str(e)
+    return sorted(ks), nbins, head, hit
+
+
+def _saturation(m, x, burn_in, length, resolution):
+    """The index of the first window iterate by which every bin of the
+    grid is visited, or None."""
+    nbins, bin_of = orbits._nbins(m, resolution), orbits._binner(m, resolution)
+    seen = set()
+    for j, y in enumerate(orbits._iterates(m, x, burn_in + length)):
+        if j >= burn_in:
+            seen.add(bin_of(y))
+            if len(seen) == nbins:
+                return j
+    return None
+
+
+def test_binned_walk_matches_walk_every_chunk_oracle(monkeypatch):
+    # the binned walk that steps with `compose` where it needs no bins, and
+    # stops binning once every bin is visited, gives the bins, head, hit and
+    # errors of the one that walked and binned every chunk
+    log4, feig = mapdefs.logistic(4.0), mapdefs.logistic(mapdefs.FEIGENBAUM_A)
+    doubling = mapdefs.doubling()
+    shifted = build_map(MapSpec(
+        (BranchSpec((100.0, 100.5), "100 + 4*(x - 100)*(101 - x)"),
+         BranchSpec((100.5, 101.0), "100 + 4*(x - 100)*(101 - x)")),
+        (100.0, 101.0)))
+    nan_map = build_map(MapSpec((BranchSpec((0.0, 1.0),
+                                            "x + 0*(1e300/(x - 0.3))"),)))
+    huge = build_map(MapSpec((BranchSpec((0.0, 1e13), "0.5*x + 4.75e12"),),
+                             (0.0, 1e13)))
+    near_half = 0.5 + 1e-9      # f(near_half) rounds to the ambient end 1.0
+    nan_start = math.nextafter(0.3, 1.0)
+    sat = _saturation(log4, 0.1, 2000, 20000, 1e-3)
+    assert 0 < (sat - 2000) % orbits._SLICE < orbits._SLICE - 1
+    assert _saturation(feig, 0.3, 2000, 20000, 1e-3) is None
+    # (chunk, slice, m, x, steps, burn_in, length, resolution, keep)
+    cases = [
+        # saturation inside a slice, and on the last and the first iterate
+        # of one
+        (None, None, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
+        (None, sat - 2000 + 1, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
+        (None, sat - 2000, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
+        (5, 7, log4, 0.1, 21999, 2000, 20000, 1e-3, 0),
+        (None, None, feig, 0.3, 22000, 2000, 20000, 1e-3, 33),
+        # doubling reaches the cut 0.5 at step 12, in the burn-in; and at
+        # step 39, after its 4 bins are visited
+        (None, None, doubling, 2.0 ** -13, 60, 30, 30, 1e-3, 3),
+        (5, None, doubling, 2.0 ** -13, 60, 30, 30, 1e-3, 3),
+        (7, 5, doubling, 0x9E3779B97F / 2.0 ** 40, 100, 0, 100, 0.25, 3),
+        (7, 5, doubling, 0x9E3779B97F / 2.0 ** 40, 100, 0, 100, 0.25, 30),
+        # burn-in at or past the last step
+        (None, None, log4, 0.2, 100, 100, 50, 1e-3, 5),
+        (None, None, log4, 0.2, 100, 200, 50, 1e-3, 5),
+        (5, 3, log4, 0.2, 99, 99, 1, 1e-3, 5),
+        # steps not a multiple of the chunk, a width not a multiple of the
+        # resolution, an ambient interval from 100
+        (None, None, log4, 0.2, 3 * orbits._CHUNK + 7, 1000, 13000, 7e-4,
+         33),
+        (None, None, shifted, 100.3, 22000, 2000, 20000, 1e-3, 33),
+        (5, 11, shifted, 100.3, 1500, 100, 1400, 3e-3, 0),
+        # the unstepped last iterate on the ambient end 1.0 and outside the
+        # ambient interval, clamped; bins clamped while the walk bins
+        (None, None, log4, near_half, 1, 0, 2, 1e-3, 2),
+        (None, None, log4, -1e-4, 0, 0, 1, 1e-3, 1),
+        (None, None, log4, -0.5, 0, 0, 1, 1e-3, 1),
+        (None, None, log4, 1.5, 0, 0, 1, 1e-3, 1),
+        (None, 1, log4, near_half, 5, 0, 5, 0.5, 0),
+        (None, 1, log4, near_half, 5, 0, 5, 1 / 3, 0),
+        # NaN and out-of-range iterates, stepped and unstepped, also after
+        # the one bin of the grid is visited
+        (None, None, nan_map, nan_start, 1, 0, 2, 1e-3, 0),
+        (None, None, nan_map, nan_start, 1, 0, 2, 1.0, 0),
+        (None, None, log4, 0.2, 100, 10, 90, 1.0, 33),
+        (None, None, nan_map, nan_start, 4, 0, 5, 1e-3, 0),
+        (None, None, nan_map, nan_start, 4, 3, 5, 1e-3, 0),
+        (None, None, log4, math.nan, 0, 0, 1, 1e-3, 0),
+        (None, None, log4, math.inf, 0, 0, 1, 1e-3, 0),
+        (None, None, log4, 1.5, 10, 0, 10, 1e-3, 0),
+        (None, None, log4, 1.5, 10, 5, 10, 1e-3, 0),
+        # more than 2**63 bins
+        (None, None, huge, 3e12, 50, 0, 50, 1e-6, 33),
+    ]
+    kinds = set()
+    for chunk, size, m, *args in cases:
+        with monkeypatch.context() as patch:
+            if chunk:
+                patch.setattr(orbits, "_CHUNK", chunk)
+            if size:
+                patch.setattr(orbits, "_SLICE", size)
+            got = _binned(orbits._binned_walk, m, *args)
+        want = _binned(refloops.binned_walk, m, *args)
+        assert got == want, args
+        kinds.add(want[0] if isinstance(want[0], type) else
+                  (len(want[0]) == want[1], want[3] is not None))
+    assert kinds == {OutOfRangeError, ValueError, OverflowError,
+                     (True, False), (False, False), (True, True),
+                     (False, True)}
+
+
+def _counted_steps(m):
+    """A list that the map's `walk` and `compose` append (shape, n) to."""
+    calls = []
+    for name in ("walk", "compose"):
+        def counted(x, n, shape=getattr(m, name), name=name):
+            calls.append((name, n))
+            return shape(x, n)
+        m.__dict__[name] = counted
+    return calls
+
+
+def test_binned_walk_composes_all_it_need_not_bin():
+    # a basin record takes every burn-in step with `compose`, and walks no
+    # more than one slice past the iterate that visits the last bin; an
+    # orbit that never visits them all walks its whole window
+    cfg = BasinConfig(burn_in=2000, length=20000)
+    steps = cfg.burn_in + cfg.length
+    for m, x0 in ((mapdefs.logistic(4.0), 0.1),
+                  (mapdefs.logistic(mapdefs.FEIGENBAUM_A), 0.3)):
+        sat = _saturation(m, x0, cfg.burn_in, cfg.length, cfg.resolution)
+        calls = _counted_steps(m)
+        orbits._sample_one(m, 0, x0, cfg)
+        first = [name for name, _ in calls].index("walk")
+        assert {name for name, _ in calls[:first]} == {"compose"}
+        assert sum(n for _, n in calls[:first]) == cfg.burn_in
+        walked = sum(n for name, n in calls if name == "walk")
+        assert sum(n for _, n in calls) == steps
+        if sat is None:
+            assert walked == cfg.length
+        else:
+            assert sat < cfg.burn_in + walked <= sat + orbits._SLICE
+            assert walked < cfg.length // 2
+
+
+def test_one_bin_formula():
+    # the bin of a point, (y - lo) / resolution truncated, is written once
+    # in the package, in `orbits._bins`: no other function truncates a
+    # quotient of a difference, floor-divides a difference by a variable,
+    # or maps `operator.truediv`
+    pkg = os.path.dirname(orbits.__file__)
+    truncs = {"int", "floor", "trunc", "ceil", "round"}
+    found = set()
+
+    def is_diff(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+    def is_bin(node):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                and is_diff(node.left)
+                and not isinstance(node.right, ast.Constant)):
+            return True
+        if isinstance(node, ast.Name) and node.id == "truediv":
+            return True
+        if isinstance(node, ast.Call) and node.args:
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            arg = node.args[0]
+            return (name in truncs and isinstance(arg, ast.BinOp)
+                    and isinstance(arg.op, ast.Div) and is_diff(arg.left))
+        return False
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            where = "%s:%s" % (where.split(":")[0],
+                               getattr(node, "name", "<lambda>"))
+        if is_bin(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                visit(ast.parse(fh.read()), name)
+    assert found == {"orbits.py:_bins"}, sorted(found)
 
 
 # ---------------------------------------------------------------------------
