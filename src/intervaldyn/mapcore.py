@@ -20,20 +20,20 @@ orbit of a typical point never hits it, while an exact hit is a meaningful
 event that orbit code reports instead of fudging.
 
 Stepping has one path: the shapes of `PiecewiseMap` (`eval`, `walk`,
-`compose`, `compose_deriv`, `induce`, `harvest` and `solve`).  Each is
-written once, as an ordinary function whose per-step branch work is a
-`with ARMS:` block in the names F and DF, and a map compiles it on its
+`compose`, `walk_bins`, `compose_deriv`, `induce`, `harvest` and `solve`).
+Each is written once, as an ordinary function whose per-step branch work is
+a `with ARMS:` block in the names F and DF, and a map compiles it on its
 first use: `_expand` puts the map's comparison ladder over the cuts in
 place of each block, one arm per branch with that branch's formulas
 inlined, and the result is compiled under this file's name at the
 template's own lines, so that a formula error points at its template.  At
 an exceptional hit `eval` raises `ExceptionalPointError`, `walk` stops
-short, `compose` returns None and `compose_deriv` raises
-`OrbitHitsExceptionalError`.  `solve` finds the roots of fⁿ(x) = x for
-both fixed-point searches, the periodic points of
+short, `compose` returns None, `walk_bins` bins the point and stops, and
+`compose_deriv` raises `OrbitHitsExceptionalError`.  `solve` finds the
+roots of fⁿ(x) = x for both fixed-point searches, the periodic points of
 `orbits.find_periodic_points` and the neutral core of
-`induction.expansion_analysis`, through `orbits._grid_roots`, and the
-roots of fⁿ(x) = c that cut the laps.
+`induction.expansion_analysis`, through `orbits._grid_roots`, and the roots
+of fⁿ(x) = c that cut the laps.
 
 Every orbit of more than one step follows `walk`'s stop rule, in every
 module: an orbit that reaches an exceptional point stops, and that point
@@ -43,9 +43,10 @@ whose image overshoots the ambient interval between the points that
 `build_map` checks has such an iterate.  Long orbits are walked one chunk
 at a time (`orbits._iterates` and `orbits._binned_walk`), so that they do
 not hold the whole orbit, and nothing outside this module steps an orbit
-with one `eval` call per step.  The chunked binned walk steps the chunks
-that it need not bin with `compose`: the burn-in, and the rest of the
-window once every bin is visited.
+with one `eval` call per step.  A binned window does not go through
+`walk`: `walk_bins` bins each iterate into a set in its compiled loop,
+until every bin is visited, and `compose` steps the burn-in and the rest
+of the window.
 """
 
 import ast
@@ -55,6 +56,7 @@ import math
 from bisect import bisect_right, bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property, wraps
+from math import floor
 
 from . import expr as ex
 from .errors import (
@@ -328,6 +330,30 @@ class PiecewiseMap:
                 return None
             raise OutOfRangeError(x)
         return x
+
+    @_shape
+    def walk_bins(x, n, lo, res, seen, full):
+        """Bins the iterates x_0 = x .. x_(n-1) into the set `seen`, each as
+        floor((x - lo) / res) once the ladder has taken it, in one compiled
+        loop without the list of `walk`.  Returns (next x, iterates binned,
+        hit): it stops once a new bin brings len(seen) to `full`, with the
+        iterate after that bin's, and on an exceptional point, which it bins
+        and returns with hit True.  Raises OutOfRangeError where eval
+        does."""
+        for i in range(n):
+            with ARMS:
+                k = floor((x - lo) / res)
+                x = F
+                if k not in seen:
+                    seen.add(k)
+                    if len(seen) == full:
+                        return x, i + 1, False
+                continue
+            if x in EXC:
+                seen.add(floor((x - lo) / res))
+                return x, i + 1, True
+            raise OutOfRangeError(x)
+        return x, n, False
 
     @_shape
     def compose_deriv(x, n):

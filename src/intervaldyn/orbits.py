@@ -120,10 +120,22 @@ def _clamped(ks, nbins):
 
 
 # orbit steps per `walk` or `compose` call of the chunked loops, which
-# bounds their memory; while a binned walk still bins, it walks one slice
-# at a time, so it stops binning within a slice of the last new bin
+# bounds their memory
 _CHUNK = 4096
-_SLICE = 512
+
+
+def _composed(m, x, i, stop):
+    """(x_stop, None) from x = x_i, stepped by `compose` one `_CHUNK` at a
+    time, or (None, index of the exceptional point) where the orbit reaches
+    the exceptional set first, found by walking that one chunk again."""
+    while i < stop:
+        n = min(_CHUNK, stop - i)
+        y = m.compose(x, n)
+        if y is None:
+            return None, i + len(m.walk(x, n))
+        x = y
+        i += n
+    return x, None
 
 
 def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
@@ -132,50 +144,37 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     the visited bins of the grid of nbins bins, the first `keep` binned
     iterates, and the index of the exceptional point the walk stopped on
     (binned if inside the window), or None.  An iterate is binned only
-    after `walk` has stepped it, so a NaN raises OutOfRangeError first.
+    after the map's ladder has taken it, so a NaN raises OutOfRangeError
+    first.
 
-    Only the window needs a list of iterates, and only until every bin is
-    visited and the head is full: `walk` steps it one `_SLICE` at a time,
-    and `compose` steps the burn-in and the rest one `_CHUNK` at a time,
-    walking again the one chunk where it stops short to find the hit."""
+    No iterate list is kept but the head: `walk_bins` bins the window
+    until every bin is visited, and `compose` steps the burn-in and the
+    rest.  The head is walked again from x_burn_in, at most keep - 1
+    steps."""
     lo = m.ambient[0]
     nbins = _nbins(m, resolution)
     end = burn_in + length
     raw = set()         # clamped whenever it holds nbins bins or more
     head = []
-    i = 0               # orbit index of x
-    hit = None
-    while i < steps:
-        if burn_in <= i and (len(raw) < nbins or len(head) < keep):
-            n = min(_SLICE, steps - i)
-            pts = [x]
-            pts += m.walk(x, n)     # x_i .. x_(i+n), shorter after a hit
-            if len(pts) <= n:
-                hit = i + len(pts) - 1
-            else:
-                x = pts.pop()       # stepped by the next slice
-            window = pts[:end - i]
-            if len(head) < keep:
-                head += window[:keep - len(head)]
-            if len(raw) < nbins:
-                raw.update(_bins(window, lo, resolution))
-                if len(raw) >= nbins:
-                    raw = _clamped(raw, nbins)
-        else:               # no iterate to bin or keep
-            stop = min(burn_in, steps) if i < burn_in else steps
-            n = min(_CHUNK, stop - i)
-            y = m.compose(x, n)
-            if y is None:
-                hit = i + len(m.walk(x, n))
-            x = y
-        if hit is not None:
-            break
-        i += n
-    else:
-        if burn_in <= steps < end:      # the last iterate, never stepped
+    x, hit = _composed(m, x, 0, min(burn_in, steps))
+    if hit is None and burn_in <= steps:
+        n = min(keep, length, steps - burn_in + 1)
+        if n > 0:
+            head = [x] + m.walk(x, n - 1)
+        i = burn_in     # orbit index of x
+        stop = min(end, steps)
+        while i < stop and len(raw) < nbins:
+            x, n, at = m.walk_bins(x, stop - i, lo, resolution, raw, nbins)
+            i += n
+            if at:
+                hit = i - 1
+                break
+            if len(raw) >= nbins:
+                raw = _clamped(raw, nbins)
+        if hit is None:
+            x, hit = _composed(m, x, i, steps)
+        if hit is None and steps < end:     # the last iterate, never stepped
             raw.update(_bins((x,), lo, resolution))
-            if len(head) < keep:
-                head.append(x)
     return _clamped(raw, nbins), nbins, head, hit
 
 

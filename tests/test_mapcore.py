@@ -346,7 +346,7 @@ def test_template_scan_matches_inspect():
               for name, prop in vars(mapcore.PiecewiseMap).items()
               if hasattr(getattr(prop, "func", None), "__wrapped__")}
     assert sorted(shapes) == ["_f", "compose", "compose_deriv", "harvest",
-                              "induce", "solve", "walk"]
+                              "induce", "solve", "walk", "walk_bins"]
     for name, template in shapes.items():
         lines, first = inspect.getsourcelines(template)
         src = "\n" * (first - 2) + "if 1:\n" + "".join(lines)
@@ -421,6 +421,27 @@ def test_no_private_bisection_outside_the_root_finders():
             with open(os.path.join(pkg, name)) as fh:
                 visit(ast.parse(fh.read()), name, False)
     assert found == {"mapcore.py:solve", "induction.py:_pull"}, sorted(found)
+
+
+def test_no_module_defines_a_name_twice():
+    # a second top-level `def` or `class` of a name silently replaces the
+    # first at import, in the package and in the tests alike
+    tests = os.path.dirname(os.path.abspath(__file__))
+    found = []
+    for folder in (os.path.dirname(mapcore.__file__), tests):
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name)) as fh:
+                tree = ast.parse(fh.read())
+            seen = set()
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    if node.name in seen:
+                        found.append("%s:%s" % (name, node.name))
+                    seen.add(node.name)
+    assert not found, found
 
 
 def test_structural_orders_match_tree_walking_oracle(monkeypatch):

@@ -676,16 +676,21 @@ def _saturation(m, x, burn_in, length, resolution):
     return None
 
 
+def _shifted_logistic():
+    """Logistic a = 4 moved onto the ambient interval (100, 101)."""
+    return build_map(MapSpec(
+        (BranchSpec((100.0, 100.5), "100 + 4*(x - 100)*(101 - x)"),
+         BranchSpec((100.5, 101.0), "100 + 4*(x - 100)*(101 - x)")),
+        (100.0, 101.0)))
+
+
 def test_binned_walk_matches_walk_every_chunk_oracle(monkeypatch):
     # the binned walk that steps with `compose` where it needs no bins, and
     # stops binning once every bin is visited, gives the bins, head, hit and
     # errors of the one that walked and binned every chunk
     log4, feig = mapdefs.logistic(4.0), mapdefs.logistic(mapdefs.FEIGENBAUM_A)
     doubling = mapdefs.doubling()
-    shifted = build_map(MapSpec(
-        (BranchSpec((100.0, 100.5), "100 + 4*(x - 100)*(101 - x)"),
-         BranchSpec((100.5, 101.0), "100 + 4*(x - 100)*(101 - x)")),
-        (100.0, 101.0)))
+    shifted = _shifted_logistic()
     nan_map = build_map(MapSpec((BranchSpec((0.0, 1.0),
                                             "x + 0*(1e300/(x - 0.3))"),)))
     huge = build_map(MapSpec((BranchSpec((0.0, 1e13), "0.5*x + 4.75e12"),),
@@ -693,62 +698,60 @@ def test_binned_walk_matches_walk_every_chunk_oracle(monkeypatch):
     near_half = 0.5 + 1e-9      # f(near_half) rounds to the ambient end 1.0
     nan_start = math.nextafter(0.3, 1.0)
     sat = _saturation(log4, 0.1, 2000, 20000, 1e-3)
-    assert 0 < (sat - 2000) % orbits._SLICE < orbits._SLICE - 1
+    assert 2000 < sat < 22000 - 1
     assert _saturation(feig, 0.3, 2000, 20000, 1e-3) is None
-    # (chunk, slice, m, x, steps, burn_in, length, resolution, keep)
+    # (chunk, m, x, steps, burn_in, length, resolution, keep)
     cases = [
-        # saturation inside a slice, and on the last and the first iterate
-        # of one
-        (None, None, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
-        (None, sat - 2000 + 1, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
-        (None, sat - 2000, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
-        (5, 7, log4, 0.1, 21999, 2000, 20000, 1e-3, 0),
-        (None, None, feig, 0.3, 22000, 2000, 20000, 1e-3, 33),
+        # saturation inside the window, on its last iterate, and on the
+        # last iterate of the walk, never stepped
+        (None, log4, 0.1, 22000, 2000, 20000, 1e-3, 33),
+        (None, log4, 0.1, 22000, 2000, sat - 2000 + 1, 1e-3, 33),
+        (None, log4, 0.1, sat, 2000, 20000, 1e-3, 33),
+        (5, log4, 0.1, 21999, 2000, 20000, 1e-3, 0),
+        (None, feig, 0.3, 22000, 2000, 20000, 1e-3, 33),
         # doubling reaches the cut 0.5 at step 12, in the burn-in; and at
         # step 39, after its 4 bins are visited
-        (None, None, doubling, 2.0 ** -13, 60, 30, 30, 1e-3, 3),
-        (5, None, doubling, 2.0 ** -13, 60, 30, 30, 1e-3, 3),
-        (7, 5, doubling, 0x9E3779B97F / 2.0 ** 40, 100, 0, 100, 0.25, 3),
-        (7, 5, doubling, 0x9E3779B97F / 2.0 ** 40, 100, 0, 100, 0.25, 30),
+        (None, doubling, 2.0 ** -13, 60, 30, 30, 1e-3, 3),
+        (5, doubling, 2.0 ** -13, 60, 30, 30, 1e-3, 3),
+        (7, doubling, 0x9E3779B97F / 2.0 ** 40, 100, 0, 100, 0.25, 3),
+        (7, doubling, 0x9E3779B97F / 2.0 ** 40, 100, 0, 100, 0.25, 30),
         # burn-in at or past the last step
-        (None, None, log4, 0.2, 100, 100, 50, 1e-3, 5),
-        (None, None, log4, 0.2, 100, 200, 50, 1e-3, 5),
-        (5, 3, log4, 0.2, 99, 99, 1, 1e-3, 5),
+        (None, log4, 0.2, 100, 100, 50, 1e-3, 5),
+        (None, log4, 0.2, 100, 200, 50, 1e-3, 5),
+        (5, log4, 0.2, 99, 99, 1, 1e-3, 5),
         # steps not a multiple of the chunk, a width not a multiple of the
         # resolution, an ambient interval from 100
-        (None, None, log4, 0.2, 3 * orbits._CHUNK + 7, 1000, 13000, 7e-4,
+        (None, log4, 0.2, 3 * orbits._CHUNK + 7, 1000, 13000, 7e-4,
          33),
-        (None, None, shifted, 100.3, 22000, 2000, 20000, 1e-3, 33),
-        (5, 11, shifted, 100.3, 1500, 100, 1400, 3e-3, 0),
+        (None, shifted, 100.3, 22000, 2000, 20000, 1e-3, 33),
+        (5, shifted, 100.3, 1500, 100, 1400, 3e-3, 0),
         # the unstepped last iterate on the ambient end 1.0 and outside the
         # ambient interval, clamped; bins clamped while the walk bins
-        (None, None, log4, near_half, 1, 0, 2, 1e-3, 2),
-        (None, None, log4, -1e-4, 0, 0, 1, 1e-3, 1),
-        (None, None, log4, -0.5, 0, 0, 1, 1e-3, 1),
-        (None, None, log4, 1.5, 0, 0, 1, 1e-3, 1),
-        (None, 1, log4, near_half, 5, 0, 5, 0.5, 0),
-        (None, 1, log4, near_half, 5, 0, 5, 1 / 3, 0),
+        (None, log4, near_half, 1, 0, 2, 1e-3, 2),
+        (None, log4, -1e-4, 0, 0, 1, 1e-3, 1),
+        (None, log4, -0.5, 0, 0, 1, 1e-3, 1),
+        (None, log4, 1.5, 0, 0, 1, 1e-3, 1),
+        (None, log4, near_half, 5, 0, 5, 0.5, 0),
+        (None, log4, near_half, 5, 0, 5, 1 / 3, 0),
         # NaN and out-of-range iterates, stepped and unstepped, also after
         # the one bin of the grid is visited
-        (None, None, nan_map, nan_start, 1, 0, 2, 1e-3, 0),
-        (None, None, nan_map, nan_start, 1, 0, 2, 1.0, 0),
-        (None, None, log4, 0.2, 100, 10, 90, 1.0, 33),
-        (None, None, nan_map, nan_start, 4, 0, 5, 1e-3, 0),
-        (None, None, nan_map, nan_start, 4, 3, 5, 1e-3, 0),
-        (None, None, log4, math.nan, 0, 0, 1, 1e-3, 0),
-        (None, None, log4, math.inf, 0, 0, 1, 1e-3, 0),
-        (None, None, log4, 1.5, 10, 0, 10, 1e-3, 0),
-        (None, None, log4, 1.5, 10, 5, 10, 1e-3, 0),
+        (None, nan_map, nan_start, 1, 0, 2, 1e-3, 0),
+        (None, nan_map, nan_start, 1, 0, 2, 1.0, 0),
+        (None, log4, 0.2, 100, 10, 90, 1.0, 33),
+        (None, nan_map, nan_start, 4, 0, 5, 1e-3, 0),
+        (None, nan_map, nan_start, 4, 3, 5, 1e-3, 0),
+        (None, log4, math.nan, 0, 0, 1, 1e-3, 0),
+        (None, log4, math.inf, 0, 0, 1, 1e-3, 0),
+        (None, log4, 1.5, 10, 0, 10, 1e-3, 0),
+        (None, log4, 1.5, 10, 5, 10, 1e-3, 0),
         # more than 2**63 bins
-        (None, None, huge, 3e12, 50, 0, 50, 1e-6, 33),
+        (None, huge, 3e12, 50, 0, 50, 1e-6, 33),
     ]
     kinds = set()
-    for chunk, size, m, *args in cases:
+    for chunk, m, *args in cases:
         with monkeypatch.context() as patch:
             if chunk:
                 patch.setattr(orbits, "_CHUNK", chunk)
-            if size:
-                patch.setattr(orbits, "_SLICE", size)
             got = _binned(orbits._binned_walk, m, *args)
         want = _binned(refloops.binned_walk, m, *args)
         assert got == want, args
@@ -760,20 +763,29 @@ def test_binned_walk_matches_walk_every_chunk_oracle(monkeypatch):
 
 
 def _counted_steps(m):
-    """A list that the map's `walk` and `compose` append (shape, n) to."""
+    """A list that the map's `walk`, `compose` and `walk_bins` append
+    (shape, steps) to: the steps asked of `walk` and `compose`, and the
+    iterates that `walk_bins` binned."""
     calls = []
     for name in ("walk", "compose"):
         def counted(x, n, shape=getattr(m, name), name=name):
             calls.append((name, n))
             return shape(x, n)
         m.__dict__[name] = counted
+
+    def walk_bins(*args, shape=m.walk_bins):
+        out = shape(*args)
+        calls.append(("walk_bins", out[1]))
+        return out
+    m.__dict__["walk_bins"] = walk_bins
     return calls
 
 
 def test_binned_walk_composes_all_it_need_not_bin():
-    # a basin record takes every burn-in step with `compose`, and walks no
-    # more than one slice past the iterate that visits the last bin; an
-    # orbit that never visits them all walks its whole window
+    # a basin record takes every burn-in step with `compose`, bins up to
+    # the iterate that visits the last bin and no further, and walks only
+    # its head again; an orbit that never visits them all bins its whole
+    # window
     cfg = BasinConfig(burn_in=2000, length=20000)
     steps = cfg.burn_in + cfg.length
     for m, x0 in ((mapdefs.logistic(4.0), 0.1),
@@ -785,19 +797,22 @@ def test_binned_walk_composes_all_it_need_not_bin():
         assert {name for name, _ in calls[:first]} == {"compose"}
         assert sum(n for _, n in calls[:first]) == cfg.burn_in
         walked = sum(n for name, n in calls if name == "walk")
-        assert sum(n for _, n in calls) == steps
+        binned = sum(n for name, n in calls if name == "walk_bins")
+        assert walked <= cfg.periodic_scan      # keep - 1 head steps
+        assert sum(n for name, n in calls if name != "walk") == steps
         if sat is None:
-            assert walked == cfg.length
+            assert binned == cfg.length
         else:
-            assert sat < cfg.burn_in + walked <= sat + orbits._SLICE
-            assert walked < cfg.length // 2
+            assert cfg.burn_in + binned - 1 == sat
+            assert binned < cfg.length // 2
 
 
 def test_one_bin_formula():
-    # the bin of a point, (y - lo) / resolution truncated, is written once
-    # in the package, in `orbits._bins`: no other function truncates a
-    # quotient of a difference, floor-divides a difference by a variable,
-    # or maps `operator.truediv`
+    # the bin of a point, (y - lo) / resolution truncated, is written in
+    # the package only in `orbits._bins` and in the shape that bins each
+    # window iterate in its compiled loop, `PiecewiseMap.walk_bins`: no
+    # other function truncates a quotient of a difference, floor-divides a
+    # difference by a variable, or maps `operator.truediv`
     pkg = os.path.dirname(orbits.__file__)
     truncs = {"int", "floor", "trunc", "ceil", "round"}
     found = set()
@@ -834,7 +849,38 @@ def test_one_bin_formula():
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 visit(ast.parse(fh.read()), name)
-    assert found == {"orbits.py:_bins"}, sorted(found)
+    assert found == {"orbits.py:_bins", "mapcore.py:walk_bins"}, sorted(found)
+
+
+def test_walk_bins_bins_as_bins_does():
+    # `walk_bins` bins a point as `_bins` does: every bin edge lo + k*res
+    # and the floats on both sides of it, on an ambient interval from 0
+    # and from 100, at resolutions that divide its width and that do not,
+    # and the ambient end hi, whose bin can lie one past the grid, where
+    # the clamp moves it to the last bin; doubling's cut 0.5 is binned as
+    # the exceptional point that stops the walk
+    past, hits = set(), set()
+    for m in (mapdefs.doubling(), _shifted_logistic()):
+        lo, hi = m.ambient
+        for res in (1e-3, 0.25, 0.1, 7e-4, 3e-3):
+            nbins = orbits._nbins(m, res)
+            edges = [lo + k * res for k in range(nbins + 1)] + [hi]
+            points = {p for e in edges
+                      for p in (math.nextafter(e, -math.inf), e,
+                                math.nextafter(e, math.inf))
+                      if lo <= p <= hi}
+            for y in sorted(points):
+                seen = set()
+                _, n, hit = m.walk_bins(y, 1, lo, res, seen, nbins + 1)
+                assert n == 1
+                assert seen == set(orbits._bins((y,), lo, res)), (y, res)
+                if hit:
+                    hits.add(y)
+                if max(seen) >= nbins:
+                    past.add((lo, res))
+                    assert orbits._clamped(seen, nbins) == {nbins - 1}
+    assert hits == {0.5, 100.5}
+    assert (0.0, 1e-3) in past and (0.0, 0.1) in past
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +914,7 @@ def _near_end_spec():
                     BranchSpec((5e-5, 1.0), "0.5*x + 0.25")))
 
 
-def _outcome(fn, *args):
+def _value_or_error(fn, *args):
     try:
         return "ok", repr(fn(*args))
     except Exception as e:
@@ -931,8 +977,8 @@ def test_walk_sites_match_per_step_loops(tmp_path, monkeypatch):
     seen = set()
 
     def same(new, ref, *args):
-        got = _outcome(new, *args)
-        assert got == _outcome(ref, *args), (new.__name__, args)
+        got = _value_or_error(new, *args)
+        assert got == _value_or_error(ref, *args), (new.__name__, args)
         seen.add((new.__name__, got[1] if got[0] == "ok" else got[0]))
 
     for key, spec in specs.items():
