@@ -692,6 +692,78 @@ def _local_order(branch, c):
     return fit if fit is not None else float("nan")
 
 
+def _check_image(b, x, where, lo, hi):
+    # exact bounds: the ladder rejects any iterate outside [lo, hi]
+    try:
+        y = b.f(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise BranchImageError(
+            "branch %r undefined at %s %r: %s" % (b.source, where, x, e),
+            witness=x) from None
+    if not lo <= y <= hi:
+        raise BranchImageError(
+            "branch %r maps %s %r to %r outside [%r, %r]"
+            % (b.source, where, x, y, lo, hi), witness=x)
+
+
+def _survey(b, lo, hi):
+    """(min |Df|, sup |D2f|/|Df|) of branch b over its validation grid, in
+    one loop that checks each grid point in turn: its image lies in
+    [lo, hi], Df is defined, nonzero and of the previous point's sign, and
+    D2f is defined.  Then the closure must map both domain ends into
+    [lo, hi].  The first check that fails raises; a failing image is
+    reported by `_check_image`, which evaluates f there again."""
+    f, df, ddf = b.f, b.df, b.ddf
+    min_d = float("inf")
+    nonlin = 0.0
+    neg = px = None     # the sign of Df at the previous grid point px
+    for x in _midgrid(b.lo, b.hi, _VALIDATION_GRID):
+        try:
+            y = f(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            y = math.nan    # fails the bounds; _check_image says why
+        if not lo <= y <= hi:
+            _check_image(b, x, "grid point", lo, hi)
+        try:
+            d = df(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise ZeroDerivativeError(
+                "branch %r derivative undefined at grid point %r: %s"
+                % (b.source, x, e)) from None
+        if d == 0.0:
+            raise ZeroDerivativeError(
+                "branch %r has zero derivative at grid point %r"
+                % (b.source, x))
+        s = d < 0.0
+        if s is not neg:
+            if neg is not None:
+                raise ZeroDerivativeError(
+                    "branch %r derivative changes sign between grid points "
+                    "%r and %r" % (b.source, px, x))
+            neg = s
+        try:
+            dd = ddf(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise ZeroDerivativeError(
+                "branch %r second derivative undefined at grid point "
+                "%r: %s" % (b.source, x, e)) from None
+        if s:
+            d = -d      # |Df|, and |D2f| below
+        if d < min_d:
+            min_d = d
+        if dd < 0.0:
+            dd = -dd
+        dd /= d
+        if dd > nonlin:
+            nonlin = dd
+        px = x
+    # the closure at the ends gives the lateral values at the cuts and f
+    # itself at the ambient ends
+    _check_image(b, b.lo, "domain end", lo, hi)
+    _check_image(b, b.hi, "domain end", lo, hi)
+    return min_d, nonlin
+
+
 def build_map(spec):
     lo, hi = spec.ambient
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -720,54 +792,8 @@ def build_map(spec):
     branches = [Branch.from_source(b.domain[0], b.domain[1], b.expr)
                 for b in bs]
 
-    def check_image(b, x, where):
-        # exact bounds: the ladder rejects any iterate outside [lo, hi]
-        try:
-            y = b.f(x)
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            raise BranchImageError(
-                "branch %r undefined at %s %r: %s" % (b.source, where, x, e),
-                witness=x) from None
-        if not lo <= y <= hi:
-            raise BranchImageError(
-                "branch %r maps %s %r to %r outside [%r, %r]"
-                % (b.source, where, x, y, lo, hi), witness=x)
-
     for b in branches:
-        prev = None
-        min_d = float("inf")
-        nonlin = 0.0
-        for x in _midgrid(b.lo, b.hi, _VALIDATION_GRID):
-            check_image(b, x, "grid point")
-            try:
-                d = b.df(x)
-            except (ValueError, ZeroDivisionError, OverflowError) as e:
-                raise ZeroDerivativeError(
-                    "branch %r derivative undefined at grid point %r: %s"
-                    % (b.source, x, e)) from None
-            if d == 0.0:
-                raise ZeroDerivativeError(
-                    "branch %r has zero derivative at grid point %r"
-                    % (b.source, x))
-            if prev is not None and (d < 0.0) != (prev[1] < 0.0):
-                raise ZeroDerivativeError(
-                    "branch %r derivative changes sign between grid points "
-                    "%r and %r" % (b.source, prev[0], x))
-            prev = (x, d)
-            try:
-                dd = b.ddf(x)
-            except (ValueError, ZeroDivisionError, OverflowError) as e:
-                raise ZeroDerivativeError(
-                    "branch %r second derivative undefined at grid point "
-                    "%r: %s" % (b.source, x, e)) from None
-            min_d = min(min_d, abs(d))
-            nonlin = max(nonlin, abs(dd) / abs(d))
-        # the closure at the ends gives the lateral values at the cuts and
-        # f itself at the ambient ends
-        check_image(b, b.lo, "domain end")
-        check_image(b, b.hi, "domain end")
-        b.min_abs_deriv = min_d
-        b.nonlinearity = nonlin
+        b.min_abs_deriv, b.nonlinearity = _survey(b, lo, hi)
 
     lateral_values = []
     orders = {}

@@ -111,14 +111,6 @@ def _binner(m, resolution):
     return lambda y: min(max(*_bins((y,), lo, resolution), 0), last)
 
 
-def _clamped(ks, nbins):
-    """The bins ks with those off the grid of nbins bins moved to its end
-    bins."""
-    if ks and (min(ks) < 0 or max(ks) >= nbins):
-        return {min(max(k, 0), nbins - 1) for k in ks}
-    return ks
-
-
 # orbit steps per `walk` or `compose` call of the chunked loops, which
 # bounds their memory
 _CHUNK = 4096
@@ -150,11 +142,18 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
     No iterate list is kept but the head: `walk_bins` bins the window
     until every bin is visited, and `compose` steps the burn-in and the
     rest.  The head is walked again from x_burn_in, at most keep - 1
-    steps."""
+    steps.
+
+    A walked iterate lies in [lo, hi], since the ladder took it, so its
+    bin floor((x - lo) / res) lies in [0, nbins]: the only bin off the grid
+    is nbins itself, from points next to the ambient end hi, and one
+    membership test after each `walk_bins` call moves it to nbins - 1.  The
+    last iterate, never stepped, is no ladder's, so it alone is binned by
+    `_binner`, which clamps any point (and raises on NaN and inf)."""
     lo = m.ambient[0]
     nbins = _nbins(m, resolution)
     end = burn_in + length
-    raw = set()         # clamped whenever it holds nbins bins or more
+    ks = set()
     head = []
     x, hit = _composed(m, x, 0, min(burn_in, steps))
     if hit is None and burn_in <= steps:
@@ -163,19 +162,20 @@ def _binned_walk(m, x, steps, burn_in, length, resolution, keep=0):
             head = [x] + m.walk(x, n - 1)
         i = burn_in     # orbit index of x
         stop = min(end, steps)
-        while i < stop and len(raw) < nbins:
-            x, n, at = m.walk_bins(x, stop - i, lo, resolution, raw, nbins)
+        while i < stop and len(ks) < nbins:
+            x, n, at = m.walk_bins(x, stop - i, lo, resolution, ks, nbins)
             i += n
+            if nbins in ks:
+                ks.discard(nbins)
+                ks.add(nbins - 1)
             if at:
                 hit = i - 1
                 break
-            if len(raw) >= nbins:
-                raw = _clamped(raw, nbins)
         if hit is None:
             x, hit = _composed(m, x, i, steps)
         if hit is None and steps < end:     # the last iterate, never stepped
-            raw.update(_bins((x,), lo, resolution))
-    return _clamped(raw, nbins), nbins, head, hit
+            ks.add(_binner(m, resolution)(x))
+    return ks, nbins, head, hit
 
 
 def _iterates(m, x, n):

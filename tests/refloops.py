@@ -17,6 +17,10 @@ _FIX_TOL); both are kept verbatim as oracles for counts, periods and
 last-bit moves.  `install` leaves them out, as their points differ in the
 last bits by design.
 
+`survey` is `mapcore.build_map`'s per-point grid survey of one branch
+as it was before one loop on local closures replaced it; it is the oracle
+of `mapcore._survey`'s values, errors, messages and witnesses.
+
 `binned_walk` is the chunked binned walk of basin sampling and omega
 covers as it was when it walked every chunk and binned every window
 iterate, before `compose` stepped what it need not bin; it is the oracle of
@@ -31,6 +35,7 @@ from intervaldyn import (
     classify, cli, induction, mane, mapcore, orbits, svgplot)
 from intervaldyn.errors import (
     BranchExplosionError,
+    BranchImageError,
     ConfigError,
     DegenerateOrbitError,
     ExceptionalPointError,
@@ -736,6 +741,58 @@ def return_map_graph(ind, path=None):
                               "%d branches, deepest time %d"
                               % (len(ind.branches), tmax)))
     return svgplot._svg(size, size, body, path)
+
+
+def survey(b, lo, hi):
+    """`mapcore._survey`: the grid survey of branch b on the ambient
+    interval [lo, hi], (min |Df|, sup |D2f|/|Df|), with `min`, `max` and
+    `abs` and a nested image check per grid point."""
+    def check_image(b, x, where):
+        # exact bounds: the ladder rejects any iterate outside [lo, hi]
+        try:
+            y = b.f(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise BranchImageError(
+                "branch %r undefined at %s %r: %s" % (b.source, where, x, e),
+                witness=x) from None
+        if not lo <= y <= hi:
+            raise BranchImageError(
+                "branch %r maps %s %r to %r outside [%r, %r]"
+                % (b.source, where, x, y, lo, hi), witness=x)
+
+    prev = None
+    min_d = float("inf")
+    nonlin = 0.0
+    for x in mapcore._midgrid(b.lo, b.hi, mapcore._VALIDATION_GRID):
+        check_image(b, x, "grid point")
+        try:
+            d = b.df(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise ZeroDerivativeError(
+                "branch %r derivative undefined at grid point %r: %s"
+                % (b.source, x, e)) from None
+        if d == 0.0:
+            raise ZeroDerivativeError(
+                "branch %r has zero derivative at grid point %r"
+                % (b.source, x))
+        if prev is not None and (d < 0.0) != (prev[1] < 0.0):
+            raise ZeroDerivativeError(
+                "branch %r derivative changes sign between grid points "
+                "%r and %r" % (b.source, prev[0], x))
+        prev = (x, d)
+        try:
+            dd = b.ddf(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise ZeroDerivativeError(
+                "branch %r second derivative undefined at grid point "
+                "%r: %s" % (b.source, x, e)) from None
+        min_d = min(min_d, abs(d))
+        nonlin = max(nonlin, abs(dd) / abs(d))
+    # the closure at the ends gives the lateral values at the cuts and
+    # f itself at the ambient ends
+    check_image(b, b.lo, "domain end")
+    check_image(b, b.hi, "domain end")
+    return min_d, nonlin
 
 
 def binned_walk(m, x, steps, burn_in, length, resolution, keep=0):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from intervaldyn.errors import (
     BranchImageError,
     ExceptionalPointError,
+    IntervalDynError,
     OrbitHitsExceptionalError,
     OutOfRangeError,
     TilingError,
@@ -664,6 +666,85 @@ def test_grid_survey_matches_reference(name):
     assert (repr(validate_nonflat(m).to_dict())
             == repr(_reference_validate_nonflat(m).to_dict()))
     assert repr(m.nonlinearity()) == repr(_reference_nonlinearity(m))
+
+
+def _perfbench_map_docs():
+    """Every map file that the perfbench workloads write, at seeds 1-3."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    docs = [wl.logistic(4.0), wl.logistic(wl.FEIGENBAUM_A), wl.doubling(),
+            wl.jump_contraction(), wl.neutral()]
+    docs += [wl.logistic(a) for seed in (1, 2, 3)
+             for a in wl.sweep_parameters(seed)]
+    return docs
+
+
+def _survey_outcome(survey, b, lo, hi):
+    """The repr of a survey's (min |Df|, sup |D2f|/|Df|), or its error's
+    type, message and witness."""
+    try:
+        return repr(survey(b, lo, hi))
+    except IntervalDynError as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def test_survey_matches_per_point_oracle():
+    # the one-loop survey gives the values, or the error, message and
+    # witness, of the per-point survey it replaced, on every fixture map,
+    # every perfbench map and branches that fail each check; where two
+    # checks fail, the earlier grid point is the one named
+    specs = [mapdefs.tent_spec(), mapdefs.doubling_spec(),
+             mapdefs.logistic_spec(4.0), mapdefs.logistic_spec(3.2),
+             mapdefs.logistic_spec(mapdefs.FEIGENBAUM_A),
+             mapdefs.jump_contraction_spec(), mapdefs.plateau_spec(),
+             mapdefs.two_attractors_spec(), mapdefs.neutral_spec(),
+             mapdefs.cubic_neutral_spec(0.9), mapdefs.cubic_neutral_spec(1.1)]
+    specs += [mapspec_from_dict(doc) for doc in _perfbench_map_docs()]
+    branches = [(b.domain, b.expr, spec.ambient)
+                for spec in specs for b in spec.branches]
+    faulty = [
+        # f undefined, outside, NaN at a grid point; f undefined and
+        # outside at a domain end
+        ((0.0, 1.0), "log(x - 0.3)", (0.0, 1.0)),
+        ((0.0, 0.5), "3*x", (0.0, 1.0)),
+        ((0.0, 1.0), "x*1e300*1e300*0", (0.0, 1.0)),
+        ((0.0, 1.0), "0.5*x*(1 - log(x))", (0.0, 1.0)),
+        ((0.0, 0.05), "4*x*(0.1 - x)/0.1", (0.0, 0.1)),
+        # Df undefined, zero and changing sign, D2f undefined
+        ((0.0, 1.0), "0.25 + 0.5*abs(x - 0.501953125)", (0.0, 1.0)),
+        ((0.0, 1.0), "0.5 + (x - 0.501953125)^3", (0.0, 1.0)),
+        ((0.0, 1.0), "4*x*(1-x)", (0.0, 1.0)),
+        ((0.0, 1.0), "0.25 + 0.5*x + 0.1*spow(x - 0.501953125, 1.5)",
+         (0.0, 1.0)),
+        # a slope that blows up at a domain end, and an image well inside
+        # a wide ambient interval
+        ((0.5, 1.0), "0.5 + 0.4*sqrt(x-0.5)", (0.0, 1.0)),
+        ((0.0, 1.0), "0.5 - 0.1*sqrt(1.5 - x)", (-5.0, 5.0)),
+    ]
+    twice = [
+        # Df singular at the first grid point, f outside from 0.5 on
+        ((0.0, 1.0), "2*x + 0.5*abs(x - 0.001953125)", (0.0, 1.0),
+         ZeroDerivativeError, "0.001953125"),
+        # f outside at the first grid point, Df singular at the last
+        ((0.0, 1.0), "2.5 - 2*x + 0.1*abs(x - 0.998046875)", (0.0, 1.0),
+         BranchImageError, "0.001953125"),
+        # f outside from 0.345703125 on, Df changing sign after 0.498046875
+        ((0.0, 1.0), "4*x*(1-x)", (0.0, 0.9),
+         BranchImageError, "0.345703125"),
+    ]
+    kinds = set()
+    for (a, b), e, (lo, hi), *named in branches + faulty + twice:
+        br = mapcore.Branch.from_source(a, b, e)
+        got = _survey_outcome(mapcore._survey, br, lo, hi)
+        assert got == _survey_outcome(refloops.survey, br, lo, hi), e
+        kinds.add(got[0] if isinstance(got, tuple) else float)
+        if named:
+            kind, where = named
+            assert got[0] is kind and "grid point %s" % where in got[1], got
+    assert kinds == {float, BranchImageError, ZeroDerivativeError}
 
 
 def test_mapspec_from_dict_roundtrip():

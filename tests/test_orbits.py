@@ -726,11 +726,14 @@ def test_binned_walk_matches_walk_every_chunk_oracle(monkeypatch):
         (None, shifted, 100.3, 22000, 2000, 20000, 1e-3, 33),
         (5, shifted, 100.3, 1500, 100, 1400, 3e-3, 0),
         # the unstepped last iterate on the ambient end 1.0 and outside the
-        # ambient interval, clamped; bins clamped while the walk bins
+        # ambient interval, clamped; a walked iterate, not the last, on the
+        # ambient end, whose bin nbins is moved to the last bin, also while
+        # the walk bins
         (None, log4, near_half, 1, 0, 2, 1e-3, 2),
         (None, log4, -1e-4, 0, 0, 1, 1e-3, 1),
         (None, log4, -0.5, 0, 0, 1, 1e-3, 1),
         (None, log4, 1.5, 0, 0, 1, 1e-3, 1),
+        (None, log4, near_half, 5, 0, 5, 1e-3, 0),
         (None, log4, near_half, 5, 0, 5, 0.5, 0),
         (None, log4, near_half, 5, 0, 5, 1 / 3, 0),
         # NaN and out-of-range iterates, stepped and unstepped, also after
@@ -856,8 +859,9 @@ def test_walk_bins_bins_as_bins_does():
     # `walk_bins` bins a point as `_bins` does: every bin edge lo + k*res
     # and the floats on both sides of it, on an ambient interval from 0
     # and from 100, at resolutions that divide its width and that do not,
-    # and the ambient end hi, whose bin can lie one past the grid, where
-    # the clamp moves it to the last bin; doubling's cut 0.5 is binned as
+    # and the ambient end hi, whose bin can lie one past the grid: never
+    # below bin 0 and never past bin nbins, the one bin off the grid that
+    # `_binned_walk` moves to the last; doubling's cut 0.5 is binned as
     # the exceptional point that stops the walk
     past, hits = set(), set()
     for m in (mapdefs.doubling(), _shifted_logistic()):
@@ -876,9 +880,10 @@ def test_walk_bins_bins_as_bins_does():
                 assert seen == set(orbits._bins((y,), lo, res)), (y, res)
                 if hit:
                     hits.add(y)
+                assert min(seen) >= 0
                 if max(seen) >= nbins:
                     past.add((lo, res))
-                    assert orbits._clamped(seen, nbins) == {nbins - 1}
+                    assert seen == {nbins}, (y, res)
     assert hits == {0.5, 100.5}
     assert (0.0, 1e-3) in past and (0.0, 0.1) in past
 
