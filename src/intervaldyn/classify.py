@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, DegenerateOrbitError, IntervalDynError
 from .mapcore import LateralPoint
 from .orbits import (
-    BasinConfig,
     IntervalCover,
     _binned_walk,
     _binner,
@@ -335,9 +334,7 @@ def classify_attractors(m, cfg=None):
         raise ConfigError("burn_in must be >= 0")
     if cfg.length < 1:
         raise ConfigError("length must be >= 1")
-    records = basin_sample(m, cfg.samples, cfg.seed,
-                           BasinConfig(burn_in=cfg.burn_in, length=cfg.length,
-                                       resolution=cfg.resolution))
+    records = basin_sample(m, cfg)
     periodic_clusters = []
     cover_records = []
     unclassified = 0

@@ -177,7 +177,6 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--map", required=True, help="map definition JSON")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("analyze", help="validate map, list lateral values "
                         "and periodic points")
@@ -187,6 +186,7 @@ def _build_parser():
 
     sp = sub.add_parser("classify", help="attractor classification")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=400)
     sp.add_argument("--burn-in", type=int, default=2000)
     sp.add_argument("--length", type=int, default=1000)
@@ -207,6 +207,7 @@ def _build_parser():
                     help="components a,b[,a2,b2...] covering all "
                          "break/critical points")
     sp.add_argument("--period-max", type=int, default=8)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--nmax", type=int, default=200)
     sp.set_defaults(fn="cmd_mane")

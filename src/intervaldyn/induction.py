@@ -6,7 +6,8 @@ some iterate is monotone, split them at preimages of the exceptional set,
 and peel off the portions whose image overlaps the target interval.  The
 search is horizon-truncated and cylinders thinner than _MIN_WIDTH are
 pruned, so coverage < 1 is reported honestly instead of claiming
-completeness.
+completeness.  Every pull-back, here and in `refine_partition` and the
+neutral core, goes through `_dom_point`.
 
 All certificates produced here are floating-point evidence (probe-based),
 not computer-assisted proofs; there is no interval arithmetic or directed
@@ -208,8 +209,9 @@ def _pull(m, u_lo, u_hi, t, y_at_lo, y_at_hi, target):
 
 
 def _dom_point(m, cyl, img_value):
-    """Domain point of a cylinder mapping to img_value, plus the f^time value
-    actually achieved there."""
+    """Domain point of a cylinder (or branch) mapping to img_value, plus the
+    f^time value actually achieved there: an end of the cylinder at an
+    exact image end, a `_pull` bisection elsewhere."""
     # f^time maps the cylinder's ends lo and hi to a and b
     a, b = cyl.img_lo, cyl.img_hi
     if cyl.orientation < 0:
@@ -274,9 +276,9 @@ def _extract(m, cyl, target):
     if d_hi - d_lo > _SLIVER:
         branch = InducedBranch(d_lo, d_hi, cyl.time, cyl.orientation,
                                min(y0, y1), max(y0, y1))
-    # the cylinder's own ends map back without a pull-back
-    a_dom, _ = _dom_point(m, cyl, cyl.img_lo)
-    b_dom, _ = _dom_point(m, cyl, cyl.img_hi)
+    # the cylinder's own ends map to its image ends, by its orientation
+    a_dom, b_dom = ((cyl.lo, cyl.hi) if cyl.orientation > 0
+                    else (cyl.hi, cyl.lo))
     remnants = []
     for seg_a, seg_b, va, vb in ((cyl.img_lo, ov_lo, a_dom, u0),
                                  (ov_hi, cyl.img_hi, u1, b_dom)):
@@ -529,14 +531,6 @@ _FLANK_CAP = 250_000     # budget of f-steps per flank probe
 _EXPANSION_PROBES = 25   # interior probes per branch for min |D(f^t)|
 
 
-def _branch_pull(ind, br, target):
-    if br.orientation > 0:
-        y_lo, y_hi = br.img_lo, br.img_hi
-    else:
-        y_lo, y_hi = br.img_hi, br.img_lo
-    return _pull(ind.map, br.lo, br.hi, br.time, y_lo, y_hi, target)
-
-
 def _flank_stats(ind, flank):
     lo, hi = flank
     w = hi - lo
@@ -556,7 +550,7 @@ def _flank_stats(ind, flank):
             unreturned += 1
         else:
             aborted += 1
-    min_deriv = min(returned) if returned else math.inf
+    min_deriv = min(returned) if returned else None
     return {
         "returned": len(returned),
         "unreturned": unreturned,
@@ -634,8 +628,8 @@ def expansion_analysis(ind, m):
     ip0 = (p_br.lo, p_br.hi)
     lo_t = max(p_br.lo, p_br.img_lo)
     hi_t = min(p_br.hi, p_br.img_hi)
-    u0, _ = _branch_pull(ind, p_br, lo_t)
-    u1, _ = _branch_pull(ind, p_br, hi_t)
+    u0, _ = _dom_point(ind.map, p_br, lo_t)
+    u1, _ = _dom_point(ind.map, p_br, hi_t)
     ip = (u0, u1) if u0 <= u1 else (u1, u0)
 
     # both F steps on ip take p's branch, so F^2 is f^(2 time) there
@@ -672,8 +666,8 @@ def expansion_analysis(ind, m):
         raise NeutralCoreNotBracketableError("both flanks are degenerate")
     best = max(candidates,
                key=lambda i: (stats[i]["returned"],
-                              -stats[i]["min_deriv"] if stats[i]["returned"] == 0
-                              else stats[i]["min_deriv"]))
+                              stats[i]["min_deriv"] if stats[i]["returned"]
+                              else -math.inf))
     chosen = stats[best]
     details.update({
         "ip0": ip0,
@@ -712,7 +706,7 @@ def refine_partition(ind, n):
 
     def pull(i, v):
         if (i, v) not in pulls:
-            pulls[i, v] = _branch_pull(ind, ind.branches[i], v)[0]
+            pulls[i, v] = _dom_point(ind.map, ind.branches[i], v)[0]
         return pulls[i, v]
 
     level = [(br.lo, br.hi, (i,)) for i, br in enumerate(ind.branches)]

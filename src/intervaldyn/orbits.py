@@ -6,15 +6,16 @@ one, and maps whose arithmetic is exact in binary64 (slope-2 piecewise
 linear maps, say) genuinely do collapse onto the undefined set -- that is a
 property of the dynamics on dyadic rationals, and hiding it would corrupt
 every statistic downstream.
+
+Basin sampling takes its settings from `classify.ClassifyConfig`; its
+periodic scan is fixed by `_PERIODIC_SCAN` and `_CONV_TOL`.
 """
 
 import math
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import repeat
 from math import floor
-from operator import sub, truediv
 
 from .errors import (
     BranchExplosionError,
@@ -28,7 +29,7 @@ from .rng import SplitMix64
 
 __all__ = [
     "OrbitSegment", "IntervalCover", "PeriodicLike", "RawPointRecord",
-    "BasinConfig", "orbit", "omega_cover", "detect_periodic_like",
+    "orbit", "omega_cover", "detect_periodic_like",
     "find_periodic_points", "basin_sample", "check_resolution",
 ]
 
@@ -96,19 +97,12 @@ def _nbins(m, resolution):
     return max(1, math.ceil((hi - lo) / resolution - 1e-9))
 
 
-def _bins(ys, lo, resolution):
-    """The bins floor((y - lo) / resolution) of the points ys, unclamped,
-    from one C-level chain.  floor and int differ only below 0, which the
-    clamp to bin 0 merges."""
-    return map(floor, map(truediv, map(sub, ys, repeat(lo)),
-                          repeat(resolution)))
-
-
 def _binner(m, resolution):
     """The bin of a point, as `_binned_walk` bins it: points outside the
-    ambient interval go to the end bins."""
+    ambient interval go to the end bins.  floor and int differ only below
+    0, which the clamp to bin 0 merges."""
     lo, last = m.ambient[0], _nbins(m, resolution) - 1
-    return lambda y: min(max(*_bins((y,), lo, resolution), 0), last)
+    return lambda y: min(max(floor((y - lo) / resolution), 0), last)
 
 
 # orbit steps per `walk` or `compose` call of the chunked loops, which
@@ -438,13 +432,10 @@ def find_periodic_points(m, period_max):
 # ---------------------------------------------------------------------------
 # basin sampling
 
-@dataclass
-class BasinConfig:
-    burn_in: int = 2000
-    length: int = 1000
-    resolution: float = 1e-3
-    periodic_scan: int = 32
-    conv_tol: float = 1e-9
+# a sample is periodic when its first window iterate recurs within
+# _CONV_TOL after p <= _PERIODIC_SCAN steps
+_PERIODIC_SCAN = 32
+_CONV_TOL = 1e-9
 
 
 @dataclass
@@ -459,17 +450,17 @@ class RawPointRecord:
                              # them a cover
 
 
-def basin_sample(m, sample_count, seed, cfg=None):
-    """Orbit statistics for sample_count uniform starts; fully determined
-    by the seed (one SplitMix64 stream, one draw per sample, index order)."""
-    if sample_count < 1:
-        raise ConfigError("sample_count must be >= 1")
-    cfg = cfg or BasinConfig()
+def basin_sample(m, cfg):
+    """Orbit statistics for cfg.samples uniform starts, binned as
+    cfg.burn_in, cfg.length and cfg.resolution say; fully determined by
+    cfg.seed (one SplitMix64 stream, one draw per sample, index order)."""
+    if cfg.samples < 1:
+        raise ConfigError("samples must be >= 1")
     check_resolution(cfg.resolution)
     lo, hi = m.ambient
-    gen = SplitMix64(seed)
+    gen = SplitMix64(cfg.seed)
     records = []
-    for idx in range(sample_count):
+    for idx in range(cfg.samples):
         x0 = gen.uniform(lo, hi)
         records.append(_sample_one(m, idx, x0, cfg))
     return records
@@ -478,7 +469,7 @@ def basin_sample(m, sample_count, seed, cfg=None):
 def _sample_one(m, idx, x0, cfg):
     ks, nbins, head, hit = _binned_walk(
         m, x0, cfg.burn_in + cfg.length, cfg.burn_in, cfg.length,
-        cfg.resolution, cfg.periodic_scan + 1)
+        cfg.resolution, _PERIODIC_SCAN + 1)
     if hit is not None and hit < cfg.burn_in:
         return RawPointRecord(idx, x0, None, hit)
     ks = sorted(ks)
@@ -488,8 +479,8 @@ def _sample_one(m, idx, x0, cfg):
     periodic = None
     # unterminated, so the window holds all cfg.length iterates
     if hit is None and cfg.length > 1:
-        for p in range(1, min(cfg.periodic_scan, cfg.length - 1) + 1):
-            if abs(head[p] - head[0]) <= cfg.conv_tol:
+        for p in range(1, min(_PERIODIC_SCAN, cfg.length - 1) + 1):
+            if abs(head[p] - head[0]) <= _CONV_TOL:
                 try:
                     log_abs, _ = m.deriv_product(head[0], p)
                     mult = math.exp(log_abs)

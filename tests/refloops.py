@@ -390,7 +390,7 @@ def flank_stats(ind, flank):
                 returned.append(math.exp(logsum))
                 max_steps = max(max_steps, fsteps)
                 break
-    min_deriv = min(returned) if returned else math.inf
+    min_deriv = min(returned) if returned else None
     return {
         "returned": len(returned),
         "unreturned": unreturned,
@@ -467,8 +467,8 @@ def expansion_analysis(ind, m):
     ip0 = (p_br.lo, p_br.hi)
     lo_t = max(p_br.lo, p_br.img_lo)
     hi_t = min(p_br.hi, p_br.img_hi)
-    u0, _ = induction._branch_pull(ind, p_br, lo_t)
-    u1, _ = induction._branch_pull(ind, p_br, hi_t)
+    u0, _ = induction._dom_point(ind.map, p_br, lo_t)
+    u1, _ = induction._dom_point(ind.map, p_br, hi_t)
     ip = (u0, u1) if u0 <= u1 else (u1, u0)
 
     def f2_gap(x):
@@ -530,8 +530,8 @@ def expansion_analysis(ind, m):
             "both flanks are degenerate")
     best = max(candidates,
                key=lambda i: (stats[i]["returned"],
-                              -stats[i]["min_deriv"] if stats[i]["returned"] == 0
-                              else stats[i]["min_deriv"]))
+                              stats[i]["min_deriv"] if stats[i]["returned"]
+                              else -math.inf))
     chosen = stats[best]
     details.update({
         "ip0": ip0,
@@ -623,7 +623,7 @@ def harvest_segments(m, U, samples, n_max, seed):
 
 def refine_partition(ind, n):
     """`induction.refine_partition` without the pull-back memo: two
-    `_branch_pull` calls per overlapping (branch, cell) pair."""
+    `_dom_point` calls per overlapping (branch, cell) pair."""
     n = int(n)
     if not (0 <= n <= 8):
         raise ConfigError("n must be in [0, 8]")
@@ -642,8 +642,8 @@ def refine_partition(ind, n):
                 ov_hi = min(c_hi, br.img_hi)
                 if ov_hi - ov_lo <= induction._SLIVER:
                     continue
-                u0, _ = induction._branch_pull(ind, br, ov_lo)
-                u1, _ = induction._branch_pull(ind, br, ov_hi)
+                u0, _ = induction._dom_point(ind.map, br, ov_lo)
+                u1, _ = induction._dom_point(ind.map, br, ov_hi)
                 d_lo, d_hi = (u0, u1) if u0 <= u1 else (u1, u0)
                 if d_hi - d_lo <= induction._SLIVER:
                     continue

@@ -24,7 +24,6 @@ from intervaldyn.classify import (
 from intervaldyn.errors import ConfigError, DegenerateOrbitError
 from intervaldyn.mapcore import BranchSpec, LateralPoint, MapSpec, build_map
 from intervaldyn.orbits import (
-    BasinConfig,
     IntervalCover,
     RawPointRecord,
     _bins_to_cells,
@@ -98,9 +97,7 @@ def test_periodic_report_covers_every_sample():
     m = build_map(MapSpec((BranchSpec((0.0, 1.0), "x"),)))
     cfg = ClassifyConfig(samples=400, burn_in=0, length=2, resolution=1e-6)
     res = classify_attractors(m, cfg)
-    bins = {r.index: r.bins for r in basin_sample(
-        m, cfg.samples, cfg.seed,
-        BasinConfig(burn_in=0, length=2, resolution=1e-6))}
+    bins = {r.index: r.bins for r in basin_sample(m, cfg)}
     assert any(len(r.sample_indices) > 1 for r in res.reports)
     for rep in res.reports:
         union = sorted(set().union(*(bins[i] for i in rep.sample_indices)))
@@ -266,8 +263,8 @@ def test_cluster_union_is_the_cover_union_fold(name):
         "two_attractors": (mapdefs.two_attractors(), 2000, 600, 2),
     }[name]
     records = [r for r in basin_sample(
-        m, 100, 1, BasinConfig(burn_in=burn_in, length=length,
-                               resolution=1e-3))
+        m, ClassifyConfig(samples=100, seed=1, burn_in=burn_in,
+                          length=length, resolution=1e-3))
         if r.periodic is None and r.terminated_at is None]
     assert len(records) >= 50
     clusters = classify._connected_clusters(records)
@@ -551,7 +548,8 @@ def test_forward_invariance_point_form(feigenbaum_classification):
 def test_nonperiodic_covers_meet_critical_balls(logistic4):
     # density of typical covers near the critical set, reduced scale: no
     # sampled cover may avoid the 1e-3-ball of 0.5
-    recs = basin_sample(logistic4, 50, 21, BasinConfig(length=20000))
+    recs = basin_sample(logistic4, ClassifyConfig(samples=50, seed=21,
+                                                  length=20000))
     avoiding = 0
     for r in recs:
         assert r.terminated_at is None

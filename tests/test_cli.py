@@ -359,6 +359,25 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["analyze"]) == 2
 
 
+def test_seed_only_where_it_is_read(tmp_path):
+    # classify and mane sample seeded orbits; analyze, return-map and plot
+    # are seed-free, so --seed is an unknown flag there
+    mp = _map_file(tmp_path, mapdefs.doubling_spec(), "doubling.json")
+    seed = ["--seed", "3", "--out", str(tmp_path / "s")]
+    for args in (["analyze", "--period-max", "3"],
+                 ["return-map", "--j", "0,0.5", "--t-max", "6"],
+                 ["plot", "--x0", "0.3", "--n", "10"]):
+        assert main([args[0], "--map", mp] + args[1:] + seed) == 2, args
+    assert not (tmp_path / "s").exists()
+    for args in (["classify", "--samples", "100", "--burn-in", "20",
+                  "--length", "40"],
+                 ["mane", "--avoid", "0.45,0.55", "--samples", "5",
+                  "--nmax", "10", "--period-max", "2"]):
+        assert main([args[0], "--map", mp] + args[1:] + seed) == 0, args
+    rep = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert rep["config"]["seed"] == 3
+
+
 def test_exit_code_computation_error(tmp_path):
     # 20 return branches refined to depth 8 overflows the cell budget
     mp = _map_file(tmp_path, mapdefs.doubling_spec(), "doubling.json")

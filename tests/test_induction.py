@@ -1,3 +1,4 @@
+import ast
 import math
 from fractions import Fraction
 
@@ -447,6 +448,18 @@ def test_cubic_neutral_core_moves_within_bisection_tolerance(s, monkeypatch):
     assert repr(got) == repr(want)
 
 
+def test_unreturned_flank_has_no_min_deriv(monkeypatch):
+    # at this cap no flank probe of s = 0.9 returns: min_deriv is None,
+    # not an infinite expansion, and the report is not valid
+    monkeypatch.setattr(induction, "_FLANK_CAP", 2000)
+    m, ret = _cubic_return_map(0.9)
+    rep = induction.expansion_analysis(ret, m)
+    stats = rep.details["flank_stats"]
+    assert [s["returned"] for s in stats] == [0, 0]
+    assert [s["min_deriv"] for s in stats] == [None, None]
+    assert rep.valid is False
+
+
 def test_plateau_neutral_core_not_bracketable():
     # F^2 - x keeps one sign on the grid of the plateau's contracting branch
     m = mapdefs.plateau()
@@ -650,20 +663,54 @@ def test_refine_partition_pulls_each_branch_value_once(logistic4,
                                                       monkeypatch):
     # the nice return map of logistic a=4: 50 branches, 1952 depth-1 cells
     ret = induction.first_return(logistic4, (0.25, 0.75), 40)
-    pulls = []
-    pull = induction._branch_pull
+    pulls, bisections = [], []
+    dom_point, pull = induction._dom_point, induction._pull
 
-    def counting(ind, br, target):
+    def counting(m, br, target):
         pulls.append((br, target))
-        return pull(ind, br, target)
-    monkeypatch.setattr(induction, "_branch_pull", counting)
+        return dom_point(m, br, target)
+
+    def bisecting(*args):
+        bisections.append(args)
+        return pull(*args)
+    monkeypatch.setattr(induction, "_dom_point", counting)
+    monkeypatch.setattr(induction, "_pull", bisecting)
     cells = induction.refine_partition(ret, 1)
     assert len(pulls) == len(set(pulls)) == 2600
+    # 74 of the values are exact image ends, which need no bisection
+    assert len(bisections) == 2526
     pulls.clear()
     want = refloops.refine_partition(ret, 1)
     assert len(pulls) == 5000 and len(set(pulls)) == 2600
     assert len(cells) == 1952
     assert [repr(c) for c in cells] == [repr(c) for c in want]
+    # the cells span the base exactly, from its own ends
+    assert (cells[0].lo, cells[-1].hi) == (0.25, 0.75)
+    assert max(c.distortion for c in cells) == 1.2244170956160025
+
+
+def test_refine_partition_doubling_starts_at_exact_end(doubling):
+    # an exact image end pulls back to the branch's own end, not to a
+    # bisection point next to it
+    ret = induction.first_return(doubling, (0.0, 0.5), 6)
+    cells = induction.refine_partition(ret, 1)
+    assert len(cells) == 36
+    assert cells[0].lo == 0.0
+
+
+def test_one_pull_back():
+    # `_dom_point` is the one pull-back: no other function calls `_pull`
+    with open(induction.__file__) as fh:
+        tree = ast.parse(fh.read())
+    callers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "_pull"):
+                    callers.add(fn.name)
+    assert callers == {"_dom_point"}
 
 
 def test_refine_partition_limits(doubling):

@@ -20,7 +20,6 @@ from intervaldyn.errors import (
 from intervaldyn.mapcore import (
     BranchSpec, LateralPoint, MapSpec, build_map, mapspec_to_dict)
 from intervaldyn.orbits import (
-    BasinConfig,
     IntervalCover,
     RawPointRecord,
     basin_sample,
@@ -107,8 +106,8 @@ def test_resolution_guard_is_shared(logistic4):
                 float("nan"), math.inf, -math.inf):
         calls = (
             lambda: omega_cover(logistic4, 0.3, 10, 10, res),
-            lambda: basin_sample(logistic4, 1, 0,
-                                 BasinConfig(resolution=res)),
+            lambda: basin_sample(logistic4, ClassifyConfig(
+                samples=1, resolution=res)),
             lambda: classify_attractors(logistic4,
                                         ClassifyConfig(resolution=res)),
             lambda: critical_order(logistic4, 10_000, res),
@@ -117,8 +116,8 @@ def test_resolution_guard_is_shared(logistic4):
             with pytest.raises(ConfigError, match="resolution"):
                 call()
     assert omega_cover(logistic4, 0.3, 10, 10, 1e-6).cells
-    assert orbits._bins_to_cells(basin_sample(logistic4, 1, 0, BasinConfig(
-        burn_in=10, length=10, resolution=1e-6))[0].bins,
+    assert orbits._bins_to_cells(basin_sample(logistic4, ClassifyConfig(
+        samples=1, burn_in=10, length=10, resolution=1e-6))[0].bins,
         *logistic4.ambient, 1e-6)
 
 
@@ -460,9 +459,10 @@ def test_find_periodic_points_compositions_counted(monkeypatch):
         assert calls["compose"] <= cap, (period, calls["compose"])
 
 
-def test_basin_sample_logistic32_finds_two_cycle(logistic32):
-    cfg = BasinConfig(burn_in=600, length=120, periodic_scan=8)
-    recs = basin_sample(logistic32, 1000, seed=2024, cfg=cfg)
+def test_basin_sample_logistic32_finds_two_cycle(logistic32, monkeypatch):
+    monkeypatch.setattr(orbits, "_PERIODIC_SCAN", 8)
+    recs = basin_sample(logistic32, ClassifyConfig(
+        samples=1000, seed=2024, burn_in=600, length=120))
     matched = [r for r in recs if r.periodic
                and r.periodic["period"] == 2]
     assert len(matched) >= 990
@@ -471,19 +471,21 @@ def test_basin_sample_logistic32_finds_two_cycle(logistic32):
     assert cyc[1] == pytest.approx(0.7994554904673700, abs=1e-9)
 
 
-def test_basin_sample_tent_collapses(tent):
-    cfg = BasinConfig(burn_in=100, length=50, periodic_scan=8)
-    recs = basin_sample(tent, 100, seed=11, cfg=cfg)
+def test_basin_sample_tent_collapses(tent, monkeypatch):
+    monkeypatch.setattr(orbits, "_PERIODIC_SCAN", 8)
+    recs = basin_sample(tent, ClassifyConfig(
+        samples=100, seed=11, burn_in=100, length=50))
     assert all(r.periodic is None for r in recs)
     # exact dyadic collapse: every double-precision tent orbit dies on the
     # undefined point 0.5 within ~52 steps
     assert all(r.terminated_at is not None for r in recs)
 
 
-def test_basin_sample_deterministic(logistic32):
-    cfg = BasinConfig(burn_in=50, length=30, periodic_scan=4)
-    a = basin_sample(logistic32, 3, seed=99, cfg=cfg)
-    b = basin_sample(logistic32, 3, seed=99, cfg=cfg)
+def test_basin_sample_deterministic(logistic32, monkeypatch):
+    monkeypatch.setattr(orbits, "_PERIODIC_SCAN", 4)
+    cfg = ClassifyConfig(samples=3, seed=99, burn_in=50, length=30)
+    a = basin_sample(logistic32, cfg)
+    b = basin_sample(logistic32, cfg)
     assert a == b
 
 
@@ -493,8 +495,9 @@ def test_basin_bins_beyond_int64():
     # any other
     m = build_map(MapSpec((BranchSpec((0.0, 1e13), "0.5*x + 4.75e12"),),
                           (0.0, 1e13)))
-    cfg = BasinConfig(burn_in=0, length=50, resolution=1e-6)
-    for rec in basin_sample(m, 3, 1, cfg):
+    cfg = ClassifyConfig(samples=3, seed=1, burn_in=0, length=50,
+                         resolution=1e-6)
+    for rec in basin_sample(m, cfg):
         assert type(rec.bins) is tuple
         assert rec.bins[-1] >= 2 ** 63
         assert list(rec.bins) == sorted(rec.bins)
@@ -553,8 +556,8 @@ def _ref_sample_one(m, idx, x0, cfg):
             break
     periodic = None
     if terminated is None and len(tail) > 1:
-        for p in range(1, min(cfg.periodic_scan, len(tail) - 1) + 1):
-            if abs(tail[p] - tail[0]) <= cfg.conv_tol:
+        for p in range(1, min(orbits._PERIODIC_SCAN, len(tail) - 1) + 1):
+            if abs(tail[p] - tail[0]) <= orbits._CONV_TOL:
                 try:
                     log_abs, _ = m.deriv_product(tail[0], p)
                     mult = math.exp(log_abs)
@@ -588,6 +591,7 @@ REFERENCE_MAPS = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
 def test_walk_loops_match_per_step_reference(name, chunk, monkeypatch):
     monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    monkeypatch.setattr(orbits, "_PERIODIC_SCAN", 8)
     m = REFERENCE_MAPS[name]()
     rng = SplitMix64(len(name))
     length = 3 * chunk + 7
@@ -599,8 +603,7 @@ def test_walk_loops_match_per_step_reference(name, chunk, monkeypatch):
     cases += [(chunk, 3), (2 * chunk + 1, 2), (chunk - 1, length)]
     for x0 in starts:
         for burn_in, n in cases:
-            cfg = BasinConfig(burn_in=burn_in, length=n, resolution=1e-3,
-                              periodic_scan=8)
+            cfg = ClassifyConfig(burn_in=burn_in, length=n, resolution=1e-3)
             assert (orbits._sample_one(m, 7, x0, cfg)
                     == _ref_sample_one(m, 7, x0, cfg)), (x0, burn_in, n)
             assert (_outcome(omega_cover, m, x0, burn_in, n, 1e-3)
@@ -608,15 +611,17 @@ def test_walk_loops_match_per_step_reference(name, chunk, monkeypatch):
                                 1e-3)), (x0, burn_in, n)
 
 
-def test_walk_loops_reference_sees_every_outcome():
+def test_walk_loops_reference_sees_every_outcome(monkeypatch):
     # the comparison above covers degenerate, terminated, periodic and plain
     # records
-    cfg = BasinConfig(burn_in=2, length=30, resolution=1e-3, periodic_scan=8)
+    monkeypatch.setattr(orbits, "_PERIODIC_SCAN", 8)
+    cfg = ClassifyConfig(burn_in=2, length=30, resolution=1e-3)
     tent, log32 = mapdefs.tent(), mapdefs.logistic(3.2)
-    assert _ref_sample_one(tent, 0, 0.375, BasinConfig(burn_in=60)) \
+    assert _ref_sample_one(tent, 0, 0.375, ClassifyConfig(burn_in=60)) \
         .terminated_at == 2
     assert _ref_sample_one(tent, 0, 0.3125, cfg).terminated_at == 3
-    assert _ref_sample_one(log32, 0, 0.3, BasinConfig()).periodic is not None
+    assert _ref_sample_one(log32, 0, 0.3, ClassifyConfig()).periodic \
+        is not None
     with pytest.raises(DegenerateOrbitError):
         _ref_omega_cover(tent, 0.375, 60, 10, 1e-3)
 
@@ -631,7 +636,7 @@ def test_nan_iterate_in_window_is_out_of_range():
     with pytest.raises(OutOfRangeError):
         omega_cover(m, x0, 0, 5, 1e-3)
     with pytest.raises(OutOfRangeError):
-        orbits._sample_one(m, 0, x0, BasinConfig(burn_in=0, length=5))
+        orbits._sample_one(m, 0, x0, ClassifyConfig(burn_in=0, length=5))
 
 
 def test_walk_loops_memory_does_not_grow_with_window():
@@ -647,7 +652,8 @@ def test_walk_loops_memory_does_not_grow_with_window():
 
     short, long_ = 3 * orbits._CHUNK, 200_000
     for run in (lambda n: omega_cover(m, 0.3, 100, n, 1e-3),
-                lambda n: basin_sample(m, 1, 5, BasinConfig(length=n))):
+                lambda n: basin_sample(m, ClassifyConfig(samples=1, seed=5,
+                                                         length=n))):
         small, big = peak(lambda: run(short)), peak(lambda: run(long_))
         # a list of the 200k window iterates alone would take ~6 MB
         assert big < small + 64 * 1024, (small, big)
@@ -789,7 +795,7 @@ def test_binned_walk_composes_all_it_need_not_bin():
     # the iterate that visits the last bin and no further, and walks only
     # its head again; an orbit that never visits them all bins its whole
     # window
-    cfg = BasinConfig(burn_in=2000, length=20000)
+    cfg = ClassifyConfig(burn_in=2000, length=20000)
     steps = cfg.burn_in + cfg.length
     for m, x0 in ((mapdefs.logistic(4.0), 0.1),
                   (mapdefs.logistic(mapdefs.FEIGENBAUM_A), 0.3)):
@@ -801,7 +807,7 @@ def test_binned_walk_composes_all_it_need_not_bin():
         assert sum(n for _, n in calls[:first]) == cfg.burn_in
         walked = sum(n for name, n in calls if name == "walk")
         binned = sum(n for name, n in calls if name == "walk_bins")
-        assert walked <= cfg.periodic_scan      # keep - 1 head steps
+        assert walked <= orbits._PERIODIC_SCAN      # keep - 1 head steps
         assert sum(n for name, n in calls if name != "walk") == steps
         if sat is None:
             assert binned == cfg.length
@@ -812,10 +818,11 @@ def test_binned_walk_composes_all_it_need_not_bin():
 
 def test_one_bin_formula():
     # the bin of a point, (y - lo) / resolution truncated, is written in
-    # the package only in `orbits._bins` and in the shape that bins each
-    # window iterate in its compiled loop, `PiecewiseMap.walk_bins`: no
-    # other function truncates a quotient of a difference, floor-divides a
-    # difference by a variable, or maps `operator.truediv`
+    # the package only in `orbits._binner`'s lambda and in the shape that
+    # bins each window iterate in its compiled loop,
+    # `PiecewiseMap.walk_bins`: no other function truncates a quotient of a
+    # difference, floor-divides a difference by a variable, or maps
+    # `operator.truediv`
     pkg = os.path.dirname(orbits.__file__)
     truncs = {"int", "floor", "trunc", "ceil", "round"}
     found = set()
@@ -840,9 +847,10 @@ def test_one_bin_formula():
         return False
 
     def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            where = "%s:%s" % (where.split(":")[0],
-                               getattr(node, "name", "<lambda>"))
+        if isinstance(node, ast.FunctionDef):
+            where = "%s:%s" % (where.split(":")[0], node.name)
+        elif isinstance(node, ast.Lambda):
+            where += ".<lambda>"
         if is_bin(node):
             found.add(where)
         for child in ast.iter_child_nodes(node):
@@ -852,12 +860,14 @@ def test_one_bin_formula():
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 visit(ast.parse(fh.read()), name)
-    assert found == {"orbits.py:_bins", "mapcore.py:walk_bins"}, sorted(found)
+    assert found == {"orbits.py:_binner.<lambda>", "mapcore.py:walk_bins"}, \
+        sorted(found)
 
 
 def test_walk_bins_bins_as_bins_does():
-    # `walk_bins` bins a point as `_bins` does: every bin edge lo + k*res
-    # and the floats on both sides of it, on an ambient interval from 0
+    # `walk_bins` bins a point as floor((y - lo) / res) does, unclamped:
+    # every bin edge lo + k*res and the floats on both sides of it, on an
+    # ambient interval from 0
     # and from 100, at resolutions that divide its width and that do not,
     # and the ambient end hi, whose bin can lie one past the grid: never
     # below bin 0 and never past bin nbins, the one bin off the grid that
@@ -877,7 +887,7 @@ def test_walk_bins_bins_as_bins_does():
                 seen = set()
                 _, n, hit = m.walk_bins(y, 1, lo, res, seen, nbins + 1)
                 assert n == 1
-                assert seen == set(orbits._bins((y,), lo, res)), (y, res)
+                assert seen == {math.floor((y - lo) / res)}, (y, res)
                 if hit:
                     hits.add(y)
                 assert min(seen) >= 0
