@@ -16,7 +16,6 @@ unresolved with diagnostics instead of being silently merged.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, DegenerateOrbitError, IntervalDynError
 from .mapcore import LateralPoint
@@ -31,11 +30,12 @@ from .orbits import (
     check_resolution,
     omega_cover,
 )
+from .records import field, record
 
 _PERIODIC_MATCH_TOL = 1e-4
 
 
-@dataclass
+@record
 class ClassifyConfig:
     samples: int = 400
     seed: int = 0
@@ -44,7 +44,7 @@ class ClassifyConfig:
     resolution: float = 1e-3
 
 
-@dataclass
+@record
 class AttractorReport:
     kind: str                  # periodic_like | interval_cycle | cantor | unresolved
     cover: IntervalCover
@@ -78,7 +78,7 @@ class AttractorReport:
         return out
 
 
-@dataclass
+@record
 class ClassificationResult:
     """The reports of one `classify_attractors` call and the settings it
     ran with.
@@ -418,7 +418,7 @@ def classify_attractors(m, cfg=None):
 # ordering of lateral critical values
 
 
-@dataclass
+@record
 class CriticalOrderResult:
     members: list            # [(LateralPoint, value)]
     in_omega: list           # in_omega[i][j]: value_i in omega(orbit of j)

@@ -23,9 +23,9 @@ _signed_pow.
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, NonLiteralExponent
+from .records import record
 
 __all__ = [
     "Const", "Var", "Unary", "Binary", "Spow",
@@ -35,30 +35,30 @@ __all__ = [
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unary:
     op: str  # 'neg' or one of UNARY_FUNCTIONS
     arg: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Binary:
     op: str  # + - * / ^
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Spow:
     arg: object
     order: float

@@ -16,7 +16,6 @@ rounding.
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     BranchExplosionError,
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .mapcore import LateralPoint
 from .orbits import _grid_roots, _iterates
+from .records import field, record
 
 MAX_CYLINDERS = 10_000_000
 
@@ -46,7 +46,7 @@ _MAX_FLAGS = 200
 # data types
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InducedBranch:
     """One monotone branch of an induced map: f^time maps (lo, hi) onto
     (img_lo, img_hi) with the given orientation.  Cylinder refinement
@@ -60,7 +60,7 @@ class InducedBranch:
     img_hi: float
 
 
-@dataclass
+@record
 class InducedMap:
     base: tuple          # target interval J
     kind: str            # "first_entry" | "first_return"
@@ -117,7 +117,7 @@ class InducedMap:
         return _exp(log_abs)
 
 
-@dataclass
+@record
 class ExpansionReport:
     epsilon: float
     K: float
@@ -141,7 +141,7 @@ class ExpansionReport:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionCell:
     lo: float
     hi: float

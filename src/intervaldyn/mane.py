@@ -10,18 +10,18 @@ growth_test probes a single starting point.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, IntervalDynError, UNotCoveringError
 from .induction import _exp
 from .orbits import find_periodic_points
+from .records import field, record
 from .rng import SplitMix64
 
 _GROWTH_LOG = math.log(1e6)
 _EXPANDING = 1.0 + 1e-9
 
 
-@dataclass
+@record
 class ManeConfig:
     period_max: int = 8
     samples: int = 100
@@ -29,7 +29,7 @@ class ManeConfig:
     seed: int = 0
 
 
-@dataclass
+@record
 class GrowthRecord:
     status: str            # GROWTH | CAPTURED | BOUNDED
     max_deriv: float       # attained running max of |Df^n(x)|, n >= 0
@@ -37,7 +37,7 @@ class GrowthRecord:
     captured_at: int = None
 
 
-@dataclass
+@record
 class ManeCertificate:
     U: list
     period_checked: int

@@ -54,7 +54,6 @@ import copy
 import linecache
 import math
 from bisect import bisect_right, bisect_left
-from dataclasses import dataclass, field
 from functools import cache, cached_property, wraps
 from math import floor
 
@@ -68,6 +67,7 @@ from .errors import (
     TilingError,
     ZeroDerivativeError,
 )
+from .records import field, record
 
 __all__ = [
     "LateralPoint", "BranchSpec", "MapSpec", "Branch", "PiecewiseMap",
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LateralPoint:
     point: float
     side: str  # 'left' = approach from below, 'right' = from above
@@ -86,13 +86,13 @@ class LateralPoint:
             raise ValueError("side must be 'left' or 'right'")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BranchSpec:
     domain: tuple
     expr: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MapSpec:
     branches: tuple
     ambient: tuple = (0.0, 1.0)
@@ -117,7 +117,7 @@ def mapspec_to_dict(spec):
     }
 
 
-@dataclass
+@record
 class Branch:
     lo: float
     hi: float
@@ -812,7 +812,7 @@ def build_map(spec):
 # ---------------------------------------------------------------------------
 # validation report
 
-@dataclass
+@record
 class ValidationReport:
     branches: list = field(default_factory=list)
     exceptional: list = field(default_factory=list)

@@ -14,7 +14,6 @@ periodic scan is fixed by `_PERIODIC_SCAN` and `_CONV_TOL`.
 import math
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from math import floor
 
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     OrbitHitsExceptionalError,
 )
 from .mapcore import LateralPoint
+from .records import record
 from .rng import SplitMix64
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # orbits
 
-@dataclass
+@record
 class OrbitSegment:
     start: float
     iterates: list
@@ -69,7 +69,7 @@ def orbit(m, x, n):
 # ---------------------------------------------------------------------------
 # interval covers
 
-@dataclass
+@record
 class IntervalCover:
     resolution: float
     cells: list  # sorted disjoint (lo, hi) tuples
@@ -224,7 +224,7 @@ def omega_cover(m, x, burn_in, length, resolution):
 EPS_LADDER = (1e-4, 1e-5, 1e-6)
 
 
-@dataclass
+@record
 class PeriodicLike:
     point: LateralPoint
     period: int
@@ -438,7 +438,7 @@ _PERIODIC_SCAN = 32
 _CONV_TOL = 1e-9
 
 
-@dataclass
+@record
 class RawPointRecord:
     index: int
     start: float

@@ -521,7 +521,7 @@ def expansion_analysis(ind, m):
     stats = []
     for fl in flanks:
         if fl[1] - fl[0] > induction._SLIVER:
-            stats.append(induction._flank_stats(ind, fl))
+            stats.append(flank_stats(ind, fl))
         else:
             stats.append(None)
     candidates = [i for i, s in enumerate(stats) if s is not None]
