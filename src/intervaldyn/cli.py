@@ -152,6 +152,8 @@ def cmd_mane(args):
 
 
 def cmd_plot(args):
+    if args.n < 0:
+        raise ConfigError("--n must be >= 0, got %d" % args.n)
     m = _load_map(args.map)
     out = _outdir(args)
     lo, hi = m.ambient

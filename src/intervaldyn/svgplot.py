@@ -1,6 +1,11 @@
 """Hand-rolled static SVG output: attractor cover strips, cobweb plots,
 and induced-map branch graphs.  Everything is plain shapes and text in a
-single self-contained file (no scripts, no external references)."""
+single self-contained file (no scripts, no external references).  A
+branch graph is a polyline over a fixed 161-point lattice, thinned to
+about one vertex per pixel column; a branch is monotone, so between two
+vertices its graph lies in the box they span, about a pixel wide."""
+
+from math import ceil
 
 from .errors import IntervalDynError
 
@@ -95,7 +100,11 @@ def _graph_frame(lo, hi, size, margin):
 
 
 def _branch_polyline(m, t, lo, hi, top, slow, view, color, samples=160):
-    """The graph of f^t on (lo, hi), sampled at samples + 1 points.  A
+    """The graph of f^t on (lo, hi), w = hi - lo, at the lattice points
+    x_j = lo + w (j + 0.5) / (samples + 1) for j = round(i samples / k),
+    i = 0..k, k = min(samples, max(1, ceil(w * scale))).  They keep both
+    ends, lie about a pixel apart (all of them if w * scale > samples - 1),
+    and the monotone graph between two lies in the box they span.  A
     sample x with lo < x < top takes one `m.compose` call, any other
     slow(x); one where either finds an undefined point or raises
     `IntervalDynError` is left out."""
@@ -103,8 +112,9 @@ def _branch_polyline(m, t, lo, hi, top, slow, view, color, samples=160):
     compose = m.compose
     flat = []
     w = hi - lo
-    for j in range(samples + 1):
-        x = lo + w * (j + 0.5) / (samples + 1.0)
+    k = min(samples, max(1, ceil(w * scale)))
+    for i in range(k + 1):
+        x = lo + w * (round(i * samples / k) + 0.5) / (samples + 1.0)
         try:
             y = compose(x, t) if lo < x < top else slow(x)
         except IntervalDynError:
@@ -117,7 +127,7 @@ def _branch_polyline(m, t, lo, hi, top, slow, view, color, samples=160):
 def cobweb(m, orbit, n, path=None):
     """Branch graphs plus the staircase of an orbit list [x0, f(x0), ...]
     of at most n steps; an exact hit of an undefined point leaves it
-    shorter."""
+    shorter.  A branch wider than 159 px keeps all 161 samples."""
     lo, hi = m.ambient
     size, margin = 480, 40.0
     view, body = _graph_frame(lo, hi, size, margin)
@@ -136,9 +146,10 @@ def cobweb(m, orbit, n, path=None):
 
 def return_map_graph(ind, path=None):
     """Graphs of every branch of an induced map over its base interval,
-    colored by return time.  A sample below the branch's clipped upper end
-    `ind._his[i]` lies in no other branch, so f^time gives its value;
-    `ind.eval` takes the others, which only overlapping branches have."""
+    colored by return time, with ceil(w_px) + 1 samples at most of a branch
+    w_px wide.  A sample below the branch's clipped upper end `ind._his[i]`
+    lies in no other branch, so f^time gives its value; `ind.eval` takes
+    the others, which only overlapping branches have."""
     lo, hi = ind.base
     size, margin = 480, 40.0
     view, body = _graph_frame(lo, hi, size, margin)

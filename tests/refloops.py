@@ -671,7 +671,8 @@ def refine_partition(ind, n):
 
 
 def _graph_frame(lo, hi, size, margin):
-    """`svgplot._graph_frame`: screen transforms as two closures."""
+    """`svgplot._graph_frame`: screen transforms as two closures, and the
+    scale."""
     span = hi - lo
     scale = (size - 2 * margin) / span
 
@@ -686,7 +687,7 @@ def _graph_frame(lo, hi, size, margin):
                       "none", ' stroke="#444" stroke-width="1"'),
         svgplot._line(sx(lo), sy(lo), sx(hi), sy(hi), "#bbb", dash="4,3"),
     ]
-    return sx, sy, frame
+    return sx, sy, scale, frame
 
 
 def _polyline(pts, stroke, width=1.0):
@@ -696,10 +697,12 @@ def _polyline(pts, stroke, width=1.0):
             'stroke-width="%.2f"/>' % (coords, stroke, width))
 
 
-def _branch_polyline(f, lo, hi, sx, sy, color, samples=160):
-    """`svgplot._branch_polyline`: every sample through f."""
+def _branch_polyline(f, lo, hi, sx, sy, scale, color, samples=160):
+    """`svgplot._branch_polyline`: every kept lattice sample through f."""
+    k = min(samples, max(1, math.ceil((hi - lo) * scale)))
+    kept = [round(i * samples / k) for i in range(k + 1)]
     pts = []
-    for j in range(samples + 1):
+    for j in kept:
         x = lo + (hi - lo) * (j + 0.5) / (samples + 1.0)
         try:
             pts.append((sx(x), sy(f(x))))
@@ -712,9 +715,9 @@ def cobweb(m, orbit, n, path=None):
     """`svgplot.cobweb`: branch samples through `eval`."""
     lo, hi = m.ambient
     size, margin = 480, 40.0
-    sx, sy, body = _graph_frame(lo, hi, size, margin)
+    sx, sy, scale, body = _graph_frame(lo, hi, size, margin)
     for i, br in enumerate(m.branches):
-        body.append(_branch_polyline(m.eval, br.lo, br.hi, sx, sy,
+        body.append(_branch_polyline(m.eval, br.lo, br.hi, sx, sy, scale,
                                      svgplot._PALETTE[i % len(
                                          svgplot._PALETTE)]))
     pts = [(sx(orbit[0]), sy(lo))]
@@ -732,11 +735,12 @@ def return_map_graph(ind, path=None):
     (`branch_at`, then `compose`)."""
     lo, hi = ind.base
     size, margin = 480, 40.0
-    sx, sy, body = _graph_frame(lo, hi, size, margin)
+    sx, sy, scale, body = _graph_frame(lo, hi, size, margin)
     tmax = max((b.time for b in ind.branches), default=1)
     for br in ind.branches:
         color = svgplot._PALETTE[br.time % len(svgplot._PALETTE)]
-        body.append(_branch_polyline(ind.eval, br.lo, br.hi, sx, sy, color))
+        body.append(_branch_polyline(ind.eval, br.lo, br.hi, sx, sy, scale,
+                                     color))
     body.append(svgplot._text(margin, size - 12.0,
                               "%d branches, deepest time %d"
                               % (len(ind.branches), tmax)))

@@ -16,7 +16,7 @@ import intervaldyn
 import refloops
 from intervaldyn import cli, induction, serialize, svgplot
 from intervaldyn.cli import main
-from intervaldyn.errors import ConfigError
+from intervaldyn.errors import ConfigError, IntervalDynError
 from intervaldyn.mapcore import BranchSpec, MapSpec, mapspec_to_dict
 
 
@@ -283,6 +283,90 @@ def test_svg_graphs_byte_identical_with_reference():
                     == refloops.cobweb(m, orbit, 9))
 
 
+def _drawn_branches(svg):
+    """The vertex strings "x,y" of each polyline of a graph document, in
+    document order."""
+    return [el.get("points").split() for el in ET.fromstring(svg).iter()
+            if el.tag.endswith("polyline")]
+
+
+def _full_lattice(f, lo, hi, view):
+    """The vertex strings of the graph of f over all 161 lattice samples
+    x_j = lo + (hi - lo) (j + 0.5) / 161 of the branch (lo, hi)."""
+    margin, base, scale, bottom = view
+    pts = []
+    for j in range(161):
+        x = lo + (hi - lo) * (j + 0.5) / 161.0
+        try:
+            y = f(x)
+        except IntervalDynError:
+            continue
+        pts.append("%.2f,%.2f" % (margin + (x - base) * scale,
+                                  bottom - (y - base) * scale))
+    return pts
+
+
+_RETURN_MAPS = {
+    # (map, J, t_max, branch count)
+    "not_nice": (lambda: mapdefs.logistic(4.0), (0.3, 0.45), 12, 279),
+    "nice": (lambda: mapdefs.logistic(4.0), (0.25, 0.75), 40, 50),
+    "doubling": (mapdefs.doubling, (0.0, 0.5), 50, 26),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETURN_MAPS))
+def test_return_map_graph_keeps_about_one_lattice_sample_per_pixel(name):
+    make, J, t_max, count = _RETURN_MAPS[name]
+    ind = induction.first_return(make(), J, t_max)
+    assert len(ind.branches) == count
+    view, _ = svgplot._graph_frame(*ind.base, 480, 40.0)
+    scale = view[2]
+    drawn = _drawn_branches(svgplot.return_map_graph(ind))
+    assert len(drawn) == count
+    for br, got in zip(ind.branches, drawn):
+        full = _full_lattice(ind.eval, br.lo, br.hi, view)
+        w_px = (br.hi - br.lo) * scale
+        assert len(got) <= min(161, math.ceil(w_px) + 1)
+        if w_px > 159:
+            assert got == full
+        # a subsequence of the full polyline with both of its ends
+        assert (got[0], got[-1]) == (full[0], full[-1])
+        rest = iter(full)
+        assert all(v in rest for v in got)
+        # at most one pixel plus one lattice step apart, up to the 0.01 px
+        # of the %.2f coordinates
+        xs = [float(v.split(",")[0]) for v in got]
+        assert max(b - a for a, b in zip(xs, xs[1:])) <= 1 + w_px / 161 + 0.01
+
+
+@pytest.mark.parametrize("name", sorted(_RETURN_MAPS))
+def test_return_map_graph_compose_calls_bounded_by_plot_width(name):
+    # a branch w_px wide takes at most ceil(w_px) + 1 samples, one compose
+    # call each, and the disjoint branches of a return map share the 400 px
+    # of the plot
+    make, J, t_max, count = _RETURN_MAPS[name]
+    ind = induction.first_return(make(), J, t_max)
+    compose = ind.map.compose
+    calls = []
+
+    def counted(x, n):
+        calls.append(x)
+        return compose(x, n)
+    ind.map.compose = counted
+    svgplot.return_map_graph(ind)
+    assert 0 < len(calls) <= 400 + 2 * count
+
+
+def test_cobweb_of_two_branch_maps_keeps_the_full_lattice():
+    # both branches of these maps are 200 px wide, wider than 159 px
+    for m in (mapdefs.tent(), mapdefs.logistic(3.2),
+              mapdefs.logistic(3.569945672), mapdefs.logistic(4.0)):
+        view, _ = svgplot._graph_frame(*m.ambient, 480, 40.0)
+        drawn = _drawn_branches(svgplot.cobweb(m, [0.137, 0.5, 1.0], 9))
+        assert drawn[:-1] == [_full_lattice(m.eval, br.lo, br.hi, view)
+                              for br in m.branches]
+
+
 def test_parser_built_once_and_commands_looked_up_at_call_time(
         tmp_path, monkeypatch):
     mp = _map_file(tmp_path, mapdefs.tent_spec(), "tent.json")
@@ -331,6 +415,15 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["mane", "--map", mp, "--avoid", "0.6,0.7",
                  "--out", str(tmp_path)]) == 2
     assert main(["plot", "--map", mp, "--x0", "7", "--out", str(tmp_path)]) == 2
+    # a negative step count is refused like every other count flag; zero
+    # steps is a one-row table
+    assert main(["plot", "--map", mp, "--x0", "0.3", "--n", "-5",
+                 "--out", str(tmp_path / "pl")]) == 2
+    assert not (tmp_path / "pl" / "orbit.csv").exists()
+    assert main(["plot", "--map", mp, "--x0", "0.3", "--n", "0",
+                 "--out", str(tmp_path / "pl")]) == 0
+    assert (tmp_path / "pl" / "orbit.csv").read_text().splitlines()[1:] == [
+        "0,0.29999999999999999"]
     # invalid branch definitions: a tiling gap, an expression syntax error,
     # a branch whose image leaves the ambient interval, and a first and a
     # second derivative that are singular at a validation grid point
