@@ -581,7 +581,8 @@ def _gamma_bound(m, ind, eps, o1, length_i, details):
 
 def expansion_analysis(ind, m):
     """Certify the return map as uniformly expanding, or locate the neutral
-    core and probe the composed flank-return derivative."""
+    core and probe the composed flank-return derivative.  The core's F^2
+    grid streams through `orbits._grid_roots`, so no grid list is held."""
     if ind.kind != "first_return":
         raise NotNiceError("expansion analysis needs a first-return map")
     if not ind.branches:
@@ -632,20 +633,24 @@ def expansion_analysis(ind, m):
     u1, _ = _dom_point(ind.map, p_br, hi_t)
     ip = (u0, u1) if u0 <= u1 else (u1, u0)
 
-    # both F steps on ip take p's branch, so F^2 is f^(2 time) there
+    # both F steps on ip take p's branch, so F^2 is f^(2 time) there; the
+    # last defined grid point is a root too where g is exactly 0
     n = 2 * p_br.time
-    xs = []
-    gs = []
     w_ip = ip[1] - ip[0]
-    for k in range(_FIX_GRID):
-        x = ip[0] + w_ip * (k + 0.5) / _FIX_GRID
-        y = m.compose(x, n)
-        if y is not None:
-            xs.append(x)
-            gs.append(y - x)
-    roots = _grid_roots(m, xs, gs, n)
-    if gs and gs[-1] == 0.0:
-        roots.append(xs[-1])
+    last = None
+
+    def grid():
+        nonlocal last
+        for k in range(_FIX_GRID):
+            x = ip[0] + w_ip * (k + 0.5) / _FIX_GRID
+            y = m.compose(x, n)
+            if y is not None:
+                last = (x, y - x)
+                yield last
+
+    roots = _grid_roots(m, grid(), n)
+    if last is not None and last[1] == 0.0:
+        roots.append(last[0])
     if not roots:
         raise NeutralCoreNotBracketableError(
             "no fixed point of the second-iterate return map bracketable "

@@ -7,6 +7,10 @@ This module checks the periodic obstruction up to a period horizon,
 harvests avoid-segments from seeded orbits on the compiled
 `PiecewiseMap.harvest` ladder shape, and fits (C, lambda) empirically;
 growth_test probes a single starting point.
+
+The fit keeps no segment: it folds each into the count and the least log
+sum of its run length, which give the fit over all segments bit for bit
+in memory that does not grow with the samples (see `mane_certificate`).
 """
 
 import math
@@ -114,21 +118,34 @@ def growth_test(m, x, avoid, n_max):
     return GrowthRecord("BOUNDED", _exp(maxlog), n_max)
 
 
+def _harvest(m, U, samples, n_max, seed, put):
+    """Call put((start, n, log|Df^n(start)|)) once per segment that
+    `harvest_segments` would list, in its order."""
+    rng = SplitMix64(seed)
+    lo, hi = m.ambient
+    for _ in range(samples):
+        m.harvest(rng.uniform(lo, hi), 4 * n_max, n_max, U, put)
+
+
 def harvest_segments(m, U, samples, n_max, seed):
     """Maximal avoid-U runs of seeded orbits, sliced at n_max steps.
     Each sample orbit is followed for 4*n_max iterates by one call of the
     compiled `PiecewiseMap.harvest` shape; returns a list of
     (start, n, log|Df^n(start)|)."""
-    rng = SplitMix64(seed)
-    lo, hi = m.ambient
     segs = []
-    harvest, put = m.harvest, segs.append
-    for _ in range(samples):
-        harvest(rng.uniform(lo, hi), 4 * n_max, n_max, U, put)
+    _harvest(m, U, samples, n_max, seed, segs.append)
     return segs
 
 
 def mane_certificate(m, U, cfg=None):
+    """Check the periodic obstruction outside U and fit (C, lambda) to the
+    seeded avoid-U segments.  Each segment is folded into count[n] and
+    least[n], the number and the least log sum of the segments of length
+    n: log lambda is the min over long n (n >= n_max/2) of least[n]/n, and
+    raw log C the min over all n of least[n] - n log lambda.  This is the
+    min over all segments to the last bit: x -> fl(x/n) and x -> fl(x - c)
+    are monotone, and equal minima are the same float, as no log sum is
+    NaN or -0.0 (a sum starts at +0.0, and `log` never returns -0.0)."""
     cfg = cfg or ManeConfig()
     if cfg.period_max < 1 or cfg.samples < 1 or cfg.n_max < 2:
         raise ConfigError("period_max >= 1, samples >= 1, n_max >= 2 required")
@@ -146,13 +163,25 @@ def mane_certificate(m, U, cfg=None):
         if not (mult > _EXPANDING):      # NaN multiplier is also flagged
             violations.append({"point": x, "period": d, "multiplier": mult})
 
-    segments = harvest_segments(m, U, cfg.samples, cfg.n_max, cfg.seed)
-    long_means = [lg / n for _x0, n, lg in segments if n >= cfg.n_max / 2]
-    details = {"segments": len(segments), "long_segments": len(long_means)}
-    if long_means:
-        log_lam = min(long_means)
+    n_max = cfg.n_max
+    count = [0] * (n_max + 1)
+    least = [math.inf] * (n_max + 1)
+
+    def fold(seg):
+        _x0, n, lg = seg
+        count[n] += 1
+        if lg < least[n]:
+            least[n] = lg
+
+    _harvest(m, U, cfg.samples, n_max, cfg.seed, fold)
+    seen = [n for n in range(1, n_max + 1) if count[n]]
+    long_ns = [n for n in seen if n >= n_max / 2]
+    details = {"segments": sum(count),
+               "long_segments": sum(count[n] for n in long_ns)}
+    if long_ns:
+        log_lam = min(least[n] / n for n in long_ns)
         lam = _exp(log_lam)
-        raw_log_c = min(lg - n * log_lam for _x0, n, lg in segments)
+        raw_log_c = min(least[n] - n * log_lam for n in seen)
         # a hair below the achieved minimum, so the certified inequality
         # |Df^n| > C * lambda^n is strict on every harvested segment
         c_val = _exp(raw_log_c) * (1.0 - 1e-12)
@@ -161,7 +190,7 @@ def mane_certificate(m, U, cfg=None):
     else:
         lam = math.nan
         c_val = math.nan
-    valid = (not violations) and bool(long_means) \
+    valid = (not violations) and bool(long_ns) \
         and lam > 1.0 and math.isfinite(lam) \
         and c_val > 0.0 and math.isfinite(c_val)
     return ManeCertificate(
@@ -175,10 +204,16 @@ def replay_fraction(m, cert, samples, seed):
     still satisfy the certified inequality |Df^n| > C * lambda^n."""
     if not cert.valid:
         raise ConfigError("replay requires a valid certificate")
-    segs = harvest_segments(m, cert.U, samples, cert.n_max, seed)
-    if not segs:
-        return 1.0
     log_c = math.log(cert.C)
     log_lam = math.log(cert.lam)
-    good = sum(1 for _x0, n, lg in segs if lg > log_c + n * log_lam)
-    return good / len(segs)
+    total = good = 0
+
+    def tally(seg):
+        nonlocal total, good
+        _x0, n, lg = seg
+        total += 1
+        if lg > log_c + n * log_lam:
+            good += 1
+
+    _harvest(m, cert.U, samples, cert.n_max, seed, tally)
+    return good / total if total else 1.0

@@ -14,6 +14,7 @@ periodic scan is fixed by `_PERIODIC_SCAN` and `_CONV_TOL`.
 import math
 from array import array
 from bisect import bisect_left, insort
+from itertools import pairwise
 from math import floor
 
 from .errors import (
@@ -320,13 +321,14 @@ def _least_period(m, x, n):
     return n
 
 
-def _grid_roots(m, xs, gs, n):
-    """The roots of g(x) = f^n(x) - x that the sorted grid xs shows, from
-    gs = g(xs) (None where f^n is undefined): each grid point but the last
-    where g is exactly 0, and one `PiecewiseMap.solve` root per gap whose
-    ends have strictly opposite signs.  A gap with a None end is skipped."""
+def _grid_roots(m, pairs, n):
+    """The roots of g(x) = f^n(x) - x that a grid shows, from an iterable of
+    its (x, g(x)) pairs in increasing x, g None where f^n is undefined: each
+    grid point but the last where g is exactly 0, and one `PiecewiseMap.solve`
+    root per gap whose ends have strictly opposite signs.  A gap with a None
+    end is skipped.  Two pairs are held at a time, so a grid can stream."""
     roots = []
-    for x0, g0, x1, g1 in zip(xs, gs, xs[1:], gs[1:]):
+    for (x0, g0), (x1, g1) in pairwise(pairs):
         if g0 is None or g1 is None:
             continue
         if g0 == 0.0:
@@ -399,7 +401,7 @@ def find_periodic_points(m, period_max):
                              for j in range(18)]
                 imgs[1:1] = [m.compose(y, n) for y in grid[1:-1]]
             vals = [None if y is None else y - x for x, y in zip(grid, imgs)]
-            for x in _grid_roots(m, grid, vals, n):
+            for x in _grid_roots(m, zip(grid, vals), n):
                 record(x, n)
 
             # split the lap at the preimages of the exceptional set for

@@ -1,8 +1,24 @@
+import tracemalloc
+
 import pytest
 
 import mapdefs
 from intervaldyn import induction
 from intervaldyn.classify import ClassifyConfig, classify_attractors
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(fn, *args)` calls fn and returns the peak of the memory
+    that tracemalloc traces during the call."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture

@@ -21,6 +21,11 @@ last bits by design.
 as it was before one loop on local closures replaced it; it is the oracle
 of `mapcore._survey`'s values, errors, messages and witnesses.
 
+`harvest` is the compiled `PiecewiseMap.harvest` shape as `harvest_from`
+on one sample, with put called once per segment, and `mane_certificate`
+is the (C, lambda) fit as it was when it listed every harvested segment
+before taking its minima; it is the oracle of the fold that replaced it.
+
 `binned_walk` is the chunked binned walk of basin sampling and omega
 covers as it was when it walked every chunk and binned every window
 iterate, before `compose` stepped what it need not bin; it is the oracle of
@@ -42,6 +47,7 @@ from intervaldyn.errors import (
     IntervalDynError,
     OrbitHitsExceptionalError,
     OutOfRangeError,
+    UNotCoveringError,
     ZeroDerivativeError,
 )
 from intervaldyn.mapcore import LateralPoint
@@ -621,6 +627,57 @@ def harvest_segments(m, U, samples, n_max, seed):
     return segs
 
 
+def harvest(m, x, k, n_max, U, put):
+    """`PiecewiseMap.harvest` over the k = 4*n_max iterates of one sample,
+    one `_step` or `eval` per iterate."""
+    assert k == 4 * n_max
+    segs = []
+    harvest_from(m, U, x, n_max, segs)
+    for seg in segs:
+        put(seg)
+
+
+def mane_certificate(m, U, cfg=None):
+    """`mane.mane_certificate` over the list of `harvest_segments`."""
+    cfg = cfg or mane.ManeConfig()
+    if cfg.period_max < 1 or cfg.samples < 1 or cfg.n_max < 2:
+        raise ConfigError("period_max >= 1, samples >= 1, n_max >= 2 required")
+    U = mane._norm_components(U)
+    for c in m.exceptional:
+        if not mane._inside(c, U):
+            raise UNotCoveringError(
+                "break/critical point %r is not inside any component of U" % c)
+
+    periodic = mane.find_periodic_points(m, cfg.period_max)
+    violations = []
+    for x, d, mult in periodic:
+        if mane._inside(x, U):
+            continue
+        if not (mult > mane._EXPANDING):
+            violations.append({"point": x, "period": d, "multiplier": mult})
+
+    segments = harvest_segments(m, U, cfg.samples, cfg.n_max, cfg.seed)
+    long_means = [lg / n for _x0, n, lg in segments if n >= cfg.n_max / 2]
+    details = {"segments": len(segments), "long_segments": len(long_means)}
+    if long_means:
+        log_lam = min(long_means)
+        lam = mane._exp(log_lam)
+        raw_log_c = min(lg - n * log_lam for _x0, n, lg in segments)
+        c_val = mane._exp(raw_log_c) * (1.0 - 1e-12)
+        details["log_lambda"] = log_lam
+        details["raw_log_C"] = raw_log_c
+    else:
+        lam = math.nan
+        c_val = math.nan
+    valid = (not violations) and bool(long_means) \
+        and lam > 1.0 and math.isfinite(lam) \
+        and c_val > 0.0 and math.isfinite(c_val)
+    return mane.ManeCertificate(
+        U=U, period_checked=cfg.period_max, periodic_violations=violations,
+        C=c_val, lam=lam, n_max=cfg.n_max, samples=cfg.samples,
+        valid=valid, details=details)
+
+
 def refine_partition(ind, n):
     """`induction.refine_partition` without the pull-back memo: two
     `_dom_point` calls per overlapping (branch, cell) pair."""
@@ -1047,8 +1104,7 @@ def install(monkeypatch):
     refine = counted("refine_partition", refine_partition)
     monkeypatch.setattr(induction, "refine_partition", refine)
     monkeypatch.setattr(cli, "refine_partition", refine)
-    monkeypatch.setattr(mane, "harvest_segments",
-                        counted("harvest_segments", harvest_segments))
+    monkeypatch.setattr(pm, "harvest", counted("harvest", harvest))
     monkeypatch.setattr(svgplot, "cobweb", counted("cobweb", cobweb))
     monkeypatch.setattr(svgplot, "return_map_graph",
                         counted("return_map_graph", return_map_graph))

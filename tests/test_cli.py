@@ -534,8 +534,9 @@ def _perfbench_spans():
 
 def test_perfbench_tracer_finds_every_traced_name(tmp_path):
     # the benchmark's tracer wraps functions by name: installing it fails
-    # on a traced name that was removed, renamed or no longer imported, and
-    # a traced count that the run bypasses reads 0 here
+    # on a traced name that was removed, renamed or no longer imported
+    # (`mane.harvest_segments` among them), and a traced count that the
+    # run bypasses reads 0 here
     from intervaldyn import classify
     original = classify.match_omega
     tracer = _perfbench_spans().Tracer()
@@ -549,14 +550,19 @@ def test_perfbench_tracer_finds_every_traced_name(tmp_path):
         lp = _map_file(tmp_path, mapdefs.logistic_spec(4.0), "l4.json")
         assert main(["analyze", "--map", lp, "--period-max", "3",
                      "--out", str(tmp_path / "a")]) == 0
+        analyzed = tracer.counts["orbits.periodic_points"]
+        assert main(["mane", "--map", lp, "--avoid", "0.4,0.6", "--nmax",
+                     "10", "--samples", "5", "--period-max", "2",
+                     "--out", str(tmp_path / "m")]) == 0
     finally:
         tracer.uninstall()
     assert classify.match_omega is original
+    assert "mane.mane_certificate" in tracer.self_time
     assert tracer.counts["classify.reports"] == 1
     assert tracer.counts["classify.match_omega.calls"] == 1
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert len(report["periodic_points"]) == 10     # 2 + 2 + 6
-    assert tracer.counts["orbits.periodic_points"] == 10
+    assert analyzed == 10
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -12,7 +12,7 @@ from intervaldyn.errors import (
     NotDiffeomorphicError,
     NotNiceError,
 )
-from intervaldyn.mapcore import build_map
+from intervaldyn.mapcore import BranchSpec, MapSpec, build_map
 from intervaldyn.orbits import omega_cover
 from intervaldyn.rng import SplitMix64
 from toymodel import entry_ladder
@@ -410,6 +410,35 @@ def test_expansion_neutral_core(neutral_expansion):
     # honestly infinite with delta' recorded as 0
     assert d["delta_prime"] == 0.0
     assert rep.distortion_Gamma == math.inf
+
+
+def test_neutral_core_memory_is_bounded(neutral_expansion, traced_peak):
+    # the 2^14-point F^2 grid streams through the grid step, so the scan
+    # holds no list of grid points
+    m, ret, rep = neutral_expansion
+    got = []
+    peak = traced_peak(lambda: got.append(induction.expansion_analysis(ret,
+                                                                       m)))
+    assert got[0].details["core"] == rep.details["core"]
+    assert peak < 64 * 1024, peak
+
+
+def test_neutral_core_of_an_identity_branch_spans_the_grid(monkeypatch):
+    # F^2(x) - x is exactly 0 at every grid point of an identity branch:
+    # the grid step takes all but the last point, and the neutral core
+    # takes the last one too; flank probes that land on the branch never
+    # return, so they are cut at 2,000 f-steps
+    monkeypatch.setattr(induction, "_FLANK_CAP", 2000)
+    m = build_map(MapSpec((BranchSpec((0.0, 0.25), "4*x"),
+                           BranchSpec((0.25, 0.75), "x"),
+                           BranchSpec((0.75, 1.0), "4*x - 3"))))
+    ret = induction.first_return(m, (0.0, 1.0), 3)
+    d = induction.expansion_analysis(ret, m).details
+    lo, hi = d["ip"]
+    grid = induction._FIX_GRID
+    assert d["ip"] == (0.25, 0.75)
+    assert d["core"] == (lo + (hi - lo) * 0.5 / grid,
+                         lo + (hi - lo) * (grid - 0.5) / grid)
 
 
 # the middle branch's linear slope of the cubic neutral maps; their flank

@@ -12,7 +12,7 @@ import pytest
 
 import mapdefs
 import refloops
-from intervaldyn import mapcore
+from intervaldyn import mapcore, serialize
 from intervaldyn.errors import ConfigError, UNotCoveringError
 from intervaldyn.mapcore import BranchSpec, MapSpec, build_map
 from intervaldyn.mane import (
@@ -68,6 +68,19 @@ def test_certificate_inequality_on_harvest(logistic4):
 def test_replay_with_fresh_seed(logistic4):
     cert = mane_certificate(logistic4, [(0.4, 0.6)], ManeConfig(n_max=30))
     assert replay_fraction(logistic4, cert, 100, seed=1) >= 0.99
+
+
+def test_replay_fraction_matches_segment_count(logistic4):
+    # a certificate fitted to 3 samples fails on about 5% of fresh segments
+    cert = mane_certificate(logistic4, [(0.4, 0.6)],
+                            ManeConfig(n_max=30, samples=3))
+    log_c = math.log(cert.C)
+    log_lam = math.log(cert.lam)
+    for seed in (1, 2):
+        segs = harvest_segments(logistic4, cert.U, 100, cert.n_max, seed)
+        good = sum(1 for _x0, n, lg in segs if lg > log_c + n * log_lam)
+        assert 0 < good < len(segs)
+        assert replay_fraction(logistic4, cert, 100, seed) == good / len(segs)
 
 
 def test_enlarging_u_keeps_validity(logistic4):
@@ -192,6 +205,70 @@ def test_harvest_matches_reference_loop(name):
     segs = harvest_segments(m, U, 200, n_max, 5)
     assert segs
     assert repr(segs) == repr(refloops.harvest_segments(m, U, 200, n_max, 5))
+
+
+def _certificate_outcome(fn, m, U, cfg):
+    """The serialized certificate, or the error raised instead."""
+    try:
+        return serialize.dumps(fn(m, U, cfg).to_dict())
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def _assert_fold_matches_segment_list(m, U, n_maxes, samples=40):
+    for n_max in n_maxes:
+        for seed in range(5):
+            cfg = ManeConfig(period_max=2, samples=samples, n_max=n_max,
+                             seed=seed)
+            assert (_certificate_outcome(mane_certificate, m, U, cfg)
+                    == _certificate_outcome(refloops.mane_certificate,
+                                            m, U, cfg)), (U, n_max, seed)
+
+
+@pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+def test_certificate_fold_matches_segment_list(name):
+    # the count and least log sum per run length give the certificate of
+    # the minima over the list of all segments, byte for byte
+    make, U, _n_max = HARVEST_CASES[name]
+    _assert_fold_matches_segment_list(make(), U, (2, 3, 30))
+
+
+def test_certificate_fold_without_long_segments_and_with_ties():
+    # orbits of the tent map leave (0, 0.01) and (0.99, 1) within 15
+    # steps, so no segment is long at n_max 30: lambda and C are NaN
+    tent = mapdefs.tent()
+    U = [(0.01, 0.99)]
+    cert = mane_certificate(tent, U, ManeConfig(period_max=2, samples=40,
+                                                n_max=30))
+    assert cert.details["segments"] > 0
+    assert cert.details["long_segments"] == 0
+    assert math.isnan(cert.lam) and math.isnan(cert.C)
+    assert not cert.valid
+    _assert_fold_matches_segment_list(tent, U, (30,))
+    # |Df| = 2 everywhere on doubling: every segment of a length has the
+    # same log sum, so the least sums of the doubling_cut_inside case above
+    # are tied
+    make, U, _n_max = HARVEST_CASES["doubling_cut_inside"]
+    sums = {}
+    for _x0, n, lg in refloops.harvest_segments(make(), U, 40, 30, 0):
+        sums.setdefault(n, []).append(lg)
+    assert any(v.count(min(v)) > 1 for v in sums.values())
+
+
+def test_certificate_memory_does_not_grow_with_samples(logistic4,
+                                                       traced_peak):
+    # the fold holds two arrays indexed by run length: 20 times the
+    # samples (about 92,000 segments) leave the traced peak where it was
+    U = [(0.4, 0.6)]
+
+    def fit(samples):
+        return mane_certificate(logistic4, U, ManeConfig(
+            period_max=1, samples=samples, n_max=4))
+    fit(1)              # compiles the shapes
+    small = traced_peak(fit, 1000)
+    large = traced_peak(fit, 20000)
+    assert fit(20000).details["segments"] > 90000
+    assert large <= small + 16 * 1024, (small, large)
 
 
 def _harvest_outcome(fn, *args):
